@@ -26,6 +26,7 @@ elements can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 
@@ -460,9 +461,6 @@ def catalan_gf() -> AlgebraElement:
     return (ONE - SQRT_1_4T).scale(Fraction(1, 2)).shift_t(-1)
 
 
-_HK_CACHE: list[AlgebraElement] = [H1, H2]
-
-
 def hypergeom_hk(k: int) -> AlgebraElement:
     """2F1(-1/2, K-1/2; K+1; 16 t^2) in normal form, via the contiguity recurrence.
 
@@ -472,14 +470,20 @@ def hypergeom_hk(k: int) -> AlgebraElement:
     """
     if k < 0:
         raise ValueError("K must be nonnegative")
-    while len(_HK_CACHE) <= k:
-        m = len(_HK_CACHE) - 2  # computing H(m+2)
-        one_plus_z = Laurent({0: 1, 2: 16})
-        rhs = _HK_CACHE[m + 1].mul_laurent(one_plus_z) - _HK_CACHE[m]
-        # divide by (m+1/2)(m+5/2)/((m+1)(m+2)) and by z = 16 t^2
-        factor = Fraction(m + 1) * (m + 2) / (Fraction(2 * m + 1, 2) * Fraction(2 * m + 5, 2))
-        _HK_CACHE.append(rhs.scale(factor * Fraction(1, 16)).shift_t(-2))
-    return _HK_CACHE[k]
+    for m in range(2, k):  # fill the cache bottom-up so _hk recurses one level at most
+        _hk(m)
+    return _hk(k)
+
+
+@lru_cache(maxsize=None)
+def _hk(k: int) -> AlgebraElement:
+    if k < 2:
+        return (H1, H2)[k]
+    m = k - 2  # computing H(m+2)
+    rhs = _hk(m + 1).mul_laurent(Laurent({0: 1, 2: 16})) - _hk(m)
+    # divide by (m+1/2)(m+5/2)/((m+1)(m+2)) and by z = 16 t^2
+    factor = Fraction(m + 1) * (m + 2) / (Fraction(2 * m + 1, 2) * Fraction(2 * m + 5, 2))
+    return rhs.scale(factor * Fraction(1, 16)).shift_t(-2)
 
 
 def gauss_value_hk(k: int) -> "PiPoly":

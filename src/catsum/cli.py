@@ -5,11 +5,13 @@ Subcommands:
   sum <tree>                    closed form and exact value at 1/4
   series <tree> --order N      engine expansion, optionally checked against
                                 the brute-force oracle
-  verify <tree|file.json> --order N   exit 0 iff engine and oracle agree
-  decorated <file.json> <verb>  the same verbs for decorated-tree JSON files
+  verify <tree> --order N       exit 0 iff engine and oracle agree
   meander --upper .. --lower .. faces, face forest and exact shape probability
   star --s S [--partial N]      star values, recurrence residuals, partial sums
   table [--max-vertices 7]      recompute the golden table and diff it
+
+<tree> is plain tree text such as "(()())" (optionally prefixed with
+"halfedge:"), the path of a decorated-tree JSON file, or inline JSON.
 
 Exit codes: 0 success, 1 verification/table mismatch, 2 parse errors.
 `--json` switches every subcommand to machine-readable output.  The
@@ -22,6 +24,8 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 from .algebra import AlgebraElement
 from .engine import Engine
@@ -77,6 +81,13 @@ def _engine(args) -> Engine:
 
 def _closed_form_strings(value: AlgebraElement, sqrt_t: bool) -> str:
     return value.substitute_sqrt_t().pretty() if sqrt_t else value.pretty()
+
+
+def _fraction_text(q: Fraction) -> str:
+    """str(q) at any size: formatting through Decimal is exact and not
+    subject to CPython's limit on int-to-string digits."""
+    num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
+    return num if den == "1" else f"{num}/{den}"
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
@@ -147,17 +158,6 @@ def _cmd_verify(args) -> int:
     return OK if match else MISMATCH
 
 
-def _cmd_decorated(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        tree = parse_decorated(fh.read())
-    args.tree = args.file
-    if args.verb == "sum":
-        return _cmd_sum(args)
-    if args.verb == "series":
-        return _cmd_series(args)
-    return _cmd_verify(args)
-
-
 def _cmd_meander(args) -> int:
     meander = parse_meander(f"upper: {args.upper}; lower: {args.lower}")
     face_list = faces(meander)
@@ -205,7 +205,7 @@ def _cmd_star(args) -> int:
     if args.partial:
         partial = star_3f2_partial(args.s, args.partial)
         gap = abs(partial - value.to_fraction())
-        payload["partial_sum"] = str(partial)
+        payload["partial_sum"] = _fraction_text(partial)
         payload["partial_gap"] = f"{float(gap):.3e}"
         lines.append(f"partial sum ({args.partial} terms): off by ~{float(gap):.3e}")
     _emit(args, payload, lines)
@@ -276,14 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree")
     p.add_argument("--order", type=int, default=8)
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("decorated", help="run a verb on a decorated-tree JSON file")
-    p.add_argument("file")
-    p.add_argument("verb", choices=("sum", "series", "verify"))
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--sqrt-t", action="store_true")
-    p.set_defaults(func=_cmd_decorated)
 
     p = sub.add_parser("meander", help="faces, forest and exact shape probability")
     p.add_argument("--upper", required=True, help="e.g. '0-1, 2-3'")

@@ -14,14 +14,16 @@ repeatedly rewriting it into combinations of strictly simpler trees:
      equality-decorated roots, a finite enumeration finish the job.
 
 Every rewrite identity used here is an exact equality of formal sums, so
-the result is the exact normal form of S(T).  Reductions are memoized on
-the sibling-order-invariant canonical key.  Black-centered stars are
-routed through the global color swap and the white-center code path.
+the result is the exact normal form of S(T).  `Engine.step` is the single
+rewrite entry point: it picks the first applicable step of that priority
+list and returns it as (rule, site, expression); `Engine.reduce` applies it
+recursively.  Reductions are memoized on the sibling-order-invariant
+canonical key.  Black-centered stars are routed through the global color
+swap and the white-center code path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,7 +43,6 @@ from .trees import (
     Decoration,
     DecoratedTree,
     LongStarPattern,
-    PatternMismatchError,
     REL_EQ,
     REL_GE,
     REL_LE,
@@ -74,20 +75,11 @@ T_INV2 = ONE.shift_t(-2)
 MINUS_ONE = ONE.scale(-1)
 
 
-class NoRuleApplies(Exception):
-    """No generic rewrite matches: the tree is good (or height <= 1)."""
-
-
 class DepthGuardExceeded(RuntimeError):
-    """Safety bound hit; reduction of any tree provably terminates, so this
-    signals an implementation bug rather than a hard instance."""
-
-
-@dataclass(frozen=True)
-class RewriteStep:
-    rule: str
-    site: int
-    expr: tuple[tuple[AlgebraElement, tuple[DecoratedTree, ...]], ...]
+    """The reduction used up its cycle budget (`Engine.max_cycles`) or
+    revisited a tree already on the reduction stack.  Large trees can
+    exhaust the default budget: the canonically decorated path on 32
+    vertices needs more than 10^5 reduction cycles."""
 
 
 def _holds(lhs: int, rel: str, rhs: int) -> bool:
@@ -240,7 +232,7 @@ class Engine:
             raise DepthGuardExceeded(f"more than {self.max_cycles} driver cycles")
         self._in_progress.add(tree)
         try:
-            rule, site, expr = self._dispatch(tree)
+            rule, site, expr = self.step(tree)
             if self.trace is not None:
                 self.trace(f"RULE {rule} AT {site} -> {len(expr)} subproblems")
             total = ZERO
@@ -255,33 +247,35 @@ class Engine:
             self.memo[key] = total
         return total
 
-    def rewrite_once(self, tree: DecoratedTree) -> RewriteStep:
-        """Apply the highest-priority generic rewrite at its least site."""
+    def step(self, tree: DecoratedTree) -> tuple[str, int, SumExpr]:
+        """The highest-priority rewrite of `tree` as (rule, site, expr): `expr`
+        is a SumExpr whose value is S(tree).  The linear-system step reduces
+        the stars it needs through this engine."""
         if tree.height == 0:
-            raise NoRuleApplies("height-0 trees have closed forms")
+            return "height-zero", 0, [(height_zero_sum(tree.decos[0]), ())]
         found = self._find_generic_rewrite(tree)
-        if found is None:
-            raise NoRuleApplies("tree is good; long-star handling applies")
-        rule, site, expr = found
-        return RewriteStep(rule, site, tuple(expr))
-
-    def long_star_reduce(self, tree: DecoratedTree, v: int) -> SumExpr:
-        """Rewrite at a classified height-2 fringe whose center carries
-        (ge,0), (le,0), or (eq,K) at the root.  Black centers route through
-        the color swap, a direct leaf child is pulled down first."""
+        if found is not None:
+            return found
+        assert is_good_tree(tree), "generic rules exhausted on a non-good tree"
+        if tree.height == 1:
+            deco = tree.decos[0]
+            return "two-vertex-base", 0, [(base_sum(deco.rel, deco.shift), ())]
+        v = min(u for u in range(len(tree)) if tree.fringe_height(u) == 2)
         tree = self._normalize_branches(tree, v)
-        pattern = classify_fringe(tree, v)
         deco = tree.decos[v]
         if deco.rel == REL_NONE:
-            raise PatternMismatchError("relation-free centers dissolve by factorization")
-        if deco.rel == REL_EQ and v != 0:
-            raise PatternMismatchError("equality decorations occur only at the root")
+            if v == 0:
+                gen = ONE if deco.color == GRAY else catalan_gf()
+                parts = tuple(subtree_at(tree, c) for c in tree.children[0])
+                return "factor-free-root", 0, [(gen, parts)]
+            return "dissolve-free-center", v, [(ONE, (with_children_reattached(tree, v),))]
+        pattern = classify_fringe(tree, v)
         if pattern.center_color == BLACK:
-            return [(ONE, (swap_colors(tree),))]
+            return "swap-colors", v, [(ONE, (swap_colors(tree),))]
         if pattern.extra_leaf is not None:
-            return [(ONE, (with_pulled_down_variable(tree, v, pattern.extra_leaf),))]
-        _, _, expr = self._long_star_step(tree, v, pattern)
-        return expr
+            pulled = with_pulled_down_variable(tree, v, pattern.extra_leaf)
+            return "pull-down-center-variable", v, [(ONE, (pulled,))]
+        return self._long_star_step(tree, v, pattern)
 
     def long_star_solve(self, tree: DecoratedTree, v: int, d: int) -> list[AlgebraElement]:
         """Solve the (d-1)x(d-1) system 2I - J for the mixed gray stars
@@ -317,33 +311,6 @@ class Engine:
         return solution
 
     # -- driver --------------------------------------------------------------
-
-    def _dispatch(self, tree: DecoratedTree):
-        if tree.height == 0:
-            return "height-zero", 0, [(height_zero_sum(tree.decos[0]), ())]
-        found = self._find_generic_rewrite(tree)
-        if found is not None:
-            return found
-        assert is_good_tree(tree), "generic rules exhausted on a non-good tree"
-        if tree.height == 1:
-            deco = tree.decos[0]
-            return "two-vertex-base", 0, [(base_sum(deco.rel, deco.shift), ())]
-        v = min(u for u in range(len(tree)) if tree.fringe_height(u) == 2)
-        tree = self._normalize_branches(tree, v)
-        deco = tree.decos[v]
-        if deco.rel == REL_NONE:
-            if v == 0:
-                gen = ONE if deco.color == GRAY else catalan_gf()
-                parts = tuple(subtree_at(tree, c) for c in tree.children[0])
-                return "factor-free-root", 0, [(gen, parts)]
-            return "dissolve-free-center", v, [(ONE, (with_children_reattached(tree, v),))]
-        pattern = classify_fringe(tree, v)
-        if pattern.center_color == BLACK:
-            return "swap-colors", v, [(ONE, (swap_colors(tree),))]
-        if pattern.extra_leaf is not None:
-            pulled = with_pulled_down_variable(tree, v, pattern.extra_leaf)
-            return "pull-down-center-variable", v, [(ONE, (pulled,))]
-        return self._long_star_step(tree, v, pattern)
 
     def _normalize_branches(self, tree: DecoratedTree, v: int) -> DecoratedTree:
         """Put the white vertex on top of every two-vertex branch under v."""

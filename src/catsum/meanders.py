@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .algebra import PiPoly
 from .engine import Engine
-from .trees import PlainTree, canonical_decorate, centroid_rooted
+from .trees import PlainTree, canonical_decorate, centroid_rooted, plain_from_adjacency
 
 UPPER, LOWER = "upper", "lower"
 
@@ -152,10 +152,6 @@ def parse_meander(text: str) -> Meander:
     return Meander(size, tuple(sides[UPPER]), tuple(sides[LOWER]))
 
 
-def arcs_from_sequence(seq) -> Matching:
-    return tuple(tuple(p) for p in seq)
-
-
 @dataclass(frozen=True)
 class Face:
     """A bounded region: the arc that bounds it and its segment index set.
@@ -256,27 +252,13 @@ def forest(meander: Meander) -> list[PlainTree]:
             assert all(all_faces[v].interior for v in comp)
             interior_components += 1
             # rooted at a canonical centroid for reproducible output
-            components.append(centroid_rooted(_component_tree(adjacency, comp[0], False)))
+            components.append(centroid_rooted(plain_from_adjacency(adjacency, comp[0])))
         else:
             assert n_half == 1, "exterior component without exactly one half-edge"
             root = next(v for v in comp if half_edges[v])
-            components.append(_component_tree(adjacency, root, True))
+            components.append(plain_from_adjacency(adjacency, root, half_edge=True))
     assert interior_components == 1, "interior faces split into several trees"
     return components
-
-
-def _component_tree(adjacency: list[list[int]], root: int, half_edge: bool) -> PlainTree:
-    parents: list[int] = []
-
-    def build(v: int, parent_vertex: int, parent_idx: int):
-        idx = len(parents)
-        parents.append(parent_idx)
-        for u in adjacency[v]:
-            if u != parent_vertex:
-                build(u, v, idx)
-
-    build(root, -1, -1)
-    return PlainTree(tuple(parents), half_edge)
 
 
 def probability(meander: Meander, engine: Engine | None = None) -> PiPoly:

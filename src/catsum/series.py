@@ -11,6 +11,7 @@ independent ground truth everything else is checked against.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .algebra import AlgebraElement
@@ -27,17 +28,12 @@ class BudgetExceededError(RuntimeError):
     """The brute-force enumeration exceeded its work budget."""
 
 
-_CATALAN: list[int] = [1]
-
-
+@lru_cache(maxsize=None)
 def catalan(n: int) -> int:
     """The n-th Catalan number binom(2n, n)/(n + 1)."""
     if n < 0:
         raise ValueError("negative Catalan index")
-    while len(_CATALAN) <= n:
-        m = len(_CATALAN)
-        _CATALAN.append(_CATALAN[-1] * 2 * (2 * m - 1) // (m + 1))
-    return _CATALAN[n]
+    return comb(2 * n, n) // (n + 1)
 
 
 def catalan_power_coeff(s: int, n: int) -> int:
@@ -76,22 +72,12 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: order + 1], order)
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSeries)
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
-
-    def agrees_with(self, other: "TruncatedSeries", order: int | None = None) -> bool:
-        if order is None:
-            order = min(self.order, other.order)
-        return self.coeffs[: order + 1] == other.coeffs[: order + 1]
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)

@@ -75,7 +75,6 @@ class Decoration:
         return f"{COLOR_NAMES[self.color]}({self.rel},{self.shift})"
 
 
-NULL_DECO_WHITE = Decoration(WHITE, REL_NONE, 0)
 NULL_DECO_BLACK = Decoration(BLACK, REL_NONE, 0)
 
 
@@ -637,12 +636,10 @@ def _pruefer_to_parents(seq: tuple[int, ...], n: int) -> list[list[int]]:
     return adj
 
 
-def _rooted_encoding(adj: list[list[int]], root: int) -> str:
-    def enc(v: int, parent: int) -> str:
-        kids = sorted(enc(c, v) for c in adj[v] if c != parent)
-        return "(" + "".join(kids) + ")"
-
-    return enc(root, -1)
+def _rooted_encoding(adj: list[list[int]], v: int, parent: int = -1) -> str:
+    """Sibling-order-invariant encoding of the subtree at v hanging off parent."""
+    kids = sorted(_rooted_encoding(adj, c, v) for c in adj[v] if c != parent)
+    return "(" + "".join(kids) + ")"
 
 
 def _centroids(adj: list[list[int]], n: int) -> list[int]:
@@ -675,26 +672,33 @@ def _centroids(adj: list[list[int]], n: int) -> list[int]:
     return out
 
 
-def _rooted_plain(adj: list[list[int]], root: int) -> PlainTree:
+def _adjacency(tree: PlainTree) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(len(tree))]
+    for v in range(1, len(tree)):
+        adj[v].append(tree.parents[v])
+        adj[tree.parents[v]].append(v)
+    return adj
+
+
+def plain_from_adjacency(
+    adj: list[list[int]], root: int, half_edge: bool = False, canonical: bool = False
+) -> PlainTree:
+    """The tree spanned by the adjacency lists from `root`, in preorder.
+    Children follow adjacency order, or canonical-encoding order when
+    `canonical` is set."""
     parents: list[int] = []
 
     def build(v: int, parent_vertex: int, parent_idx: int):
         idx = len(parents)
         parents.append(parent_idx)
-        kids = sorted(
-            (c for c in adj[v] if c != parent_vertex),
-            key=lambda c: _rooted_encoding_sub(adj, c, v),
-        )
+        kids = [c for c in adj[v] if c != parent_vertex]
+        if canonical:
+            kids.sort(key=lambda c: _rooted_encoding(adj, c, v))
         for c in kids:
             build(c, v, idx)
 
     build(root, -1, -1)
-    return PlainTree(tuple(parents))
-
-
-def _rooted_encoding_sub(adj: list[list[int]], v: int, parent: int) -> str:
-    kids = sorted(_rooted_encoding_sub(adj, c, v) for c in adj[v] if c != parent)
-    return "(" + "".join(kids) + ")"
+    return PlainTree(tuple(parents), half_edge)
 
 
 def enumerate_free_trees(n: int) -> list[PlainTree]:
@@ -713,7 +717,7 @@ def enumerate_free_trees(n: int) -> list[PlainTree]:
         best_root = min(cands, key=lambda r: _rooted_encoding(adj, r))
         key = _rooted_encoding(adj, best_root)
         if key not in seen:
-            seen[key] = _rooted_plain(adj, best_root)
+            seen[key] = plain_from_adjacency(adj, best_root, canonical=True)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -722,30 +726,11 @@ def centroid_rooted(tree: PlainTree) -> PlainTree:
     canonical order (only meaningful for trees without half-edge)."""
     if tree.half_edge:
         raise ValueError("half-edge trees are rooted at the half-edge extremity")
-    n = len(tree)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for v in range(1, n):
-        adj[v].append(tree.parents[v])
-        adj[tree.parents[v]].append(v)
-    best_root = min(_centroids(adj, n), key=lambda r: _rooted_encoding(adj, r))
-    return _rooted_plain(adj, best_root)
+    adj = _adjacency(tree)
+    best_root = min(_centroids(adj, len(tree)), key=lambda r: _rooted_encoding(adj, r))
+    return plain_from_adjacency(adj, best_root, canonical=True)
 
 
 def reroot(tree: PlainTree, new_root: int, half_edge: bool = False) -> PlainTree:
     """The same free tree rooted at the given vertex."""
-    n = len(tree)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for v in range(1, n):
-        adj[v].append(tree.parents[v])
-        adj[tree.parents[v]].append(v)
-    parents: list[int] = []
-
-    def build(v: int, parent_vertex: int, parent_idx: int):
-        idx = len(parents)
-        parents.append(parent_idx)
-        for c in adj[v]:
-            if c != parent_vertex:
-                build(c, v, idx)
-
-    build(new_root, -1, -1)
-    return PlainTree(tuple(parents), half_edge)
+    return plain_from_adjacency(_adjacency(tree), new_root, half_edge)

@@ -1,8 +1,11 @@
 """Command-line interface: outputs, exit codes, JSON mode."""
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 from catsum.cli import main
+from catsum.stars import star_3f2_partial
 from catsum.trees import canonical_decorate, canonical_key, parse_plain
 from catsum.table_data import TABLE
 
@@ -63,14 +66,14 @@ def test_decorated_file_verbs(tmp_path, capsys):
     }
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(blob))
-    code, out, _ = run(capsys, "decorated", str(path), "sum")
+    code, out, _ = run(capsys, "sum", str(path))
     assert code == 0 and "(H1 - 1)/(4*t^2)" in out
-    code, out, _ = run(capsys, "decorated", str(path), "verify", "--order", "6")
+    code, out, _ = run(capsys, "verify", str(path), "--order", "6")
     assert code == 0
-    code, out, _ = run(capsys, "decorated", str(path), "series", "--order", "4", "--oracle")
+    code, out, _ = run(capsys, "series", str(path), "--order", "4", "--oracle")
     assert code == 0 and "oracle: match" in out
     path.write_text('{"vertices": [{"parent": -1, "color": "blue", "rel": "eq", "k": 0}]}')
-    code, _, err = run(capsys, "decorated", str(path), "sum")
+    code, _, err = run(capsys, "sum", str(path))
     assert code == 2
 
 
@@ -109,6 +112,16 @@ def test_star_command(capsys):
     assert "64/(15*pi)" in out
     assert "residuals at s=3: 0, 0" in out
     assert "partial sum (50 terms)" in out
+
+
+def test_star_partial_beyond_int_digit_limit(capsys):
+    """At N = 4000 the denominator 16^3999 has more digits than CPython
+    converts between int and str by default; the JSON stays exact."""
+    code, out, _ = run(capsys, "--json", "star", "--s", "3", "--partial", "4000")
+    assert code == 0
+    num, _, den = json.loads(out)["partial_sum"].partition("/")
+    assert len(den) > 4300
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == star_3f2_partial(3, 4000)
 
 
 def test_table_command(capsys):

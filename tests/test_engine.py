@@ -9,7 +9,6 @@ from catsum.algebra import H1, H2, ONE, AlgebraElement, Laurent, PiPoly, catalan
 from catsum.engine import (
     DepthGuardExceeded,
     Engine,
-    NoRuleApplies,
     base_sum,
     height_zero_sum,
     reduce_tree,
@@ -27,7 +26,6 @@ from catsum.trees import (
     WHITE,
     Decoration,
     DecoratedTree,
-    PatternMismatchError,
     canonical_decorate,
     canonical_key,
     parse_plain,
@@ -148,9 +146,9 @@ def test_rewrite_once_equality_factor():
             Decoration(WHITE, REL_NONE, 0),
         ),
     )
-    step = Engine().rewrite_once(tree)
-    assert step.rule == "factor-equality" and step.site == 1
-    (coeff, parts), = step.expr
+    rule, site, expr = Engine().step(tree)
+    assert rule == "factor-equality" and site == 1
+    (coeff, parts), = expr
     assert coeff == ONE and len(parts) == 2
     assert len(parts[0]) == 1 and len(parts[1]) == 2
 
@@ -160,16 +158,18 @@ def test_rewrite_once_leaf_rules():
         (-1, 0),
         (Decoration(WHITE, REL_NONE, 0), Decoration(BLACK, REL_GE, 0)),
     )
-    step = Engine().rewrite_once(tree)
-    assert step.rule == "relax-leaf"
-    ((_, (after,)),) = step.expr
+    rule, _, expr = Engine().step(tree)
+    assert rule == "relax-leaf"
+    ((_, (after,)),) = expr
     assert after.decos[1].rel == REL_EQ  # black (ge,0) forces the variable to 0
 
     tree = DecoratedTree(
         (-1, 0),
         (Decoration(WHITE, REL_NONE, 0), Decoration(BLACK, REL_LE, 0)),
     )
-    ((_, (after,)),) = Engine().rewrite_once(tree).expr
+    rule, _, expr = Engine().step(tree)
+    assert rule == "relax-leaf"
+    ((_, (after,)),) = expr
     assert after.decos[1].rel == REL_NONE
 
 
@@ -182,20 +182,23 @@ def test_rewrite_once_twin_merge():
             Decoration(WHITE, REL_NONE, 0),
         ),
     )
-    step = Engine().rewrite_once(tree)
-    assert step.rule == "merge-twin-leaves"
-    (c1, (merged,)), (c2, (dropped,)) = step.expr
+    rule, _, expr = Engine().step(tree)
+    assert rule == "merge-twin-leaves"
+    (c1, (merged,)), (c2, (dropped,)) = expr
     assert c1 == ONE.shift_t(-1) and c2 == ONE.shift_t(-1).scale(-1)
     assert len(merged) == 2 and merged.decos[1] == Decoration(WHITE, REL_NONE, 1)
     assert len(dropped) == 1 and dropped.decos[0].shift == 1
 
 
 def test_rewrite_once_no_rule():
+    """Trees without a generic rewrite: a good tree takes a long-star step, a
+    single vertex its closed form; both steps are locally sound."""
     good = long_star_tree(1, 1, 0, REL_LE, 0)
-    with pytest.raises(NoRuleApplies):
-        Engine().rewrite_once(good)
-    with pytest.raises(NoRuleApplies):
-        Engine().rewrite_once(DecoratedTree((-1,), (Decoration(WHITE, REL_NONE, 0),)))
+    single = DecoratedTree((-1,), (Decoration(WHITE, REL_NONE, 0),))
+    for tree, expected in ((good, LONG_STAR_RULES), (single, {"height-zero"})):
+        rule, site, expr = Engine().step(tree)
+        assert rule in expected and site == 0
+        assert brute_force_decorated(tree, 8) == sumexpr_series(expr, 8), rule
 
 
 RULES_TO_COVER = {
@@ -218,8 +221,8 @@ def _twin_leaf_tree(color, extra=()):
 
 
 def test_generic_rules_locally_sound():
-    """For every generic rewrite: the oracle series of the input equals the
-    oracle evaluation of the produced expression (order 8)."""
+    """For every step, generic rewrites included: the oracle series of the
+    input equals the oracle evaluation of the produced expression (order 8)."""
     rng = random.Random(42)
     engine = Engine()
     covered = set()
@@ -256,14 +259,11 @@ def test_generic_rules_locally_sound():
         random_decorated_tree(rng, max_vertices=6, max_nongray=5) for _ in range(400)
     ]
     for tree in trees:
-        try:
-            step = engine.rewrite_once(tree)
-        except NoRuleApplies:
-            continue
-        covered.add(step.rule)
+        rule, _, expr = engine.step(tree)
+        covered.add(rule)
         lhs = brute_force_decorated(tree, 8)
-        rhs = sumexpr_series(list(step.expr), 8)
-        assert lhs == rhs, (step.rule, tree)
+        rhs = sumexpr_series(expr, 8)
+        assert lhs == rhs, (rule, tree)
     assert RULES_TO_COVER <= covered, RULES_TO_COVER - covered
 
 
@@ -300,7 +300,7 @@ def test_long_star_rules_locally_sound():
             cases += [(2, 0, 0, REL_EQ, k_shift, color), (1, 1, 1, REL_EQ, k_shift, color)]
     for i, j, k, rel, shift, color in cases:
         tree = long_star_tree(i, j, k, rel, shift, center_color=color)
-        expr = engine.long_star_reduce(tree, 0)
+        expr = engine.step(tree)[2]
         lhs = brute_force_decorated(tree, 8)
         assert lhs == sumexpr_series(expr, 8), (i, j, k, rel, shift, color)
     # collect rule names through traces for coverage
@@ -315,10 +315,11 @@ def test_long_star_rules_locally_sound():
 
 
 def test_long_star_reduce_preconditions():
-    engine = Engine()
+    """A relation-free center is no long star: the root factorizes instead."""
     free_center = long_star_tree(1, 0, 1, REL_NONE, 0)
-    with pytest.raises(PatternMismatchError):
-        engine.long_star_reduce(free_center, 0)
+    rule, site, expr = Engine().step(free_center)
+    assert (rule, site) == ("factor-free-root", 0)
+    assert brute_force_decorated(free_center, 8) == sumexpr_series(expr, 8)
 
 
 def test_long_star_examples(shared_engine):
