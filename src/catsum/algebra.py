@@ -15,9 +15,20 @@ forms, which is a faithful test because the three generators are
 algebraically independent over Q(t).  The filtration degree assigns 2 to
 H1 and H2 and 1 to s.
 
+A Laurent coefficient is stored as integer numerators over one common
+denominator, the content-times-primitive-part layout of FLINT's fmpq_poly:
+`nums` maps exponent -> nonzero int and `den` > 0 is an int, with
+gcd(den, *nums) == 1 and den == 1 for the zero polynomial.  That stored
+form is unique, so equality and hashing compare it directly, and each
+operation does integer arithmetic followed by one gcd normalisation.
+Multiplication by a monomial (one generator key with a one-term
+coefficient, such as 1, -1, 1/t or 1/t^2) scales and shifts each
+coefficient instead of convolving.
+
 Evaluation at t = 1/4 sends s -> 0, H1 -> 4/pi, H2 -> 8/(3 pi) and every
 Laurent coefficient to its exact rational value, landing in Q[1/pi]
-(`PiPoly`).  No floating point is used anywhere in this module.
+(`PiPoly`).  No floating point is used anywhere in this module, which
+needs only the standard library.
 
 All values are immutable once constructed and every operation is pure, so
 elements can be shared freely between threads.
@@ -27,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 
 
 def _frac(x) -> Fraction:
@@ -38,19 +49,46 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class Laurent:
-    """Sparse Laurent polynomial over Q: {exponent: coefficient}, no zeros stored."""
+def _stored(nums: dict[int, int], den: int) -> "Laurent":
+    """A Laurent from numerators and denominator already in stored form."""
+    res = Laurent.__new__(Laurent)
+    res.nums = nums
+    res.den = den
+    return res
 
-    __slots__ = ("terms",)
+
+def _reduced(nums: dict[int, int], den: int) -> "Laurent":
+    """A Laurent from nonzero numerators over den > 0, divided by their common gcd."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: n // g for k, n in nums.items()}
+            den //= g
+    return _stored(nums, den)
+
+
+class Laurent:
+    """Sparse Laurent polynomial over Q, as integer numerators over one denominator.
+
+    `nums` maps exponent -> nonzero int numerator and `den` > 0 is the common
+    denominator, with gcd(den, *nums) == 1; the zero polynomial has no
+    numerators and den == 1.  Each value has exactly one stored form, so
+    equality and hashing compare it directly.  `terms` is the read-only
+    {exponent: Fraction} view, for rendering and series expansion.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms=None):
-        clean: dict[int, Fraction] = {}
+        fracs = {}
         if terms:
             for k, v in terms.items():
                 v = _frac(v)
                 if v:
-                    clean[int(k)] = v
-        self.terms = clean
+                    fracs[int(k)] = v
+        den = lcm(*(v.denominator for v in fracs.values()))
+        self.nums = {k: v.numerator * (den // v.denominator) for k, v in fracs.items()}
+        self.den = den
 
     @classmethod
     def const(cls, value) -> "Laurent":
@@ -60,76 +98,115 @@ class Laurent:
     def t_power(cls, k: int, coeff=1) -> "Laurent":
         return cls({k: _frac(coeff)})
 
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.nums.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def min_exp(self) -> int:
-        return min(self.terms)
+        return min(self.nums)
 
     def max_exp(self) -> int:
-        return max(self.terms)
+        return max(self.nums)
 
     def __eq__(self, other):
-        return isinstance(other, Laurent) and self.terms == other.terms
+        return isinstance(other, Laurent) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __add__(self, other: "Laurent") -> "Laurent":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, Fraction(0)) + v
+        den = self.den
+        if den == other.den:
+            out, m = dict(self.nums), 1
+        else:
+            den = lcm(den, other.den)
+            m1, m = den // self.den, den // other.den
+            out = {k: n * m1 for k, n in self.nums.items()}
+        for k, n in other.nums.items():
+            w = out.get(k, 0) + n * m
             if w:
                 out[k] = w
             else:
-                out.pop(k, None)
-        res = Laurent.__new__(Laurent)
-        res.terms = out
-        return res
+                del out[k]
+        return _reduced(out, den)
 
     def __neg__(self) -> "Laurent":
-        res = Laurent.__new__(Laurent)
-        res.terms = {k: -v for k, v in self.terms.items()}
-        return res
+        return _stored({k: -n for k, n in self.nums.items()}, self.den)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
 
     def __mul__(self, other: "Laurent") -> "Laurent":
-        out: dict[int, Fraction] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
+        a, b = self.nums, other.nums
+        if not a or not b:
+            return L_ZERO
+        if len(b) == 1:
+            ((e, n),) = b.items()
+            return self._times_term(e, n, other.den)
+        if len(a) == 1:
+            ((e, n),) = a.items()
+            return other._times_term(e, n, self.den)
+        out: dict[int, int] = {}
+        for k1, n1 in a.items():
+            for k2, n2 in b.items():
                 k = k1 + k2
-                w = out.get(k, Fraction(0)) + v1 * v2
-                if w:
-                    out[k] = w
-                else:
-                    out.pop(k, None)
-        res = Laurent.__new__(Laurent)
-        res.terms = out
-        return res
+                out[k] = out.get(k, 0) + n1 * n2
+        return _reduced({k: n for k, n in out.items() if n}, self.den * other.den)
+
+    def _times_term(self, e: int, p: int, r: int) -> "Laurent":
+        """self * (p/r) t^e for p != 0 and r > 0 coprime.
+
+        As gcd(den, *nums) == 1 and gcd(p, r) == 1, the product's common
+        factor is gcd(p, den) * gcd(r, *nums), so no gcd runs over the
+        product's numerators."""
+        g1 = gcd(p, self.den)
+        g2 = gcd(r, *self.nums.values()) if r != 1 else 1
+        f = p // g1
+        if g2 == 1:
+            out = {k + e: n * f for k, n in self.nums.items()}
+        else:
+            out = {k + e: n // g2 * f for k, n in self.nums.items()}
+        return _stored(out, self.den // g1 * (r // g2))
 
     def scale(self, q) -> "Laurent":
         q = _frac(q)
-        res = Laurent.__new__(Laurent)
-        res.terms = {} if q == 0 else {k: v * q for k, v in self.terms.items()}
-        return res
+        if not q or not self.nums:
+            return L_ZERO
+        return self._times_term(0, q.numerator, q.denominator)
 
     def shift(self, k: int) -> "Laurent":
         """Multiply by t^k."""
-        res = Laurent.__new__(Laurent)
-        res.terms = {e + k: v for e, v in self.terms.items()}
-        return res
+        return _stored({e + k: n for e, n in self.nums.items()}, self.den)
 
-    def eval_at(self, point: Fraction) -> Fraction:
-        return sum((v * point**k for k, v in self.terms.items()), Fraction(0))
+    def eval_at(self, point) -> Fraction:
+        """Exact value at a rational point p/q: one integer sum
+        sum n_k p^(k-lo) q^(hi-k) over the exponents lo..hi, one Fraction."""
+        if not self.nums:
+            return Fraction(0)
+        point = _frac(point)
+        p, q = point.numerator, point.denominator
+        lo, hi = min(self.nums), max(self.nums)
+        total = sum(n * p ** (k - lo) * q ** (hi - k) for k, n in self.nums.items())
+        num, den = total, self.den
+        if lo > 0:
+            num *= p**lo
+        else:
+            den *= p**-lo
+        if hi > 0:
+            den *= q**hi
+        else:
+            num *= q**-hi
+        return Fraction(num, den)
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
-        for k in sorted(self.terms, reverse=True):
-            v = self.terms[k]
+        for k, v in sorted(self.terms.items(), reverse=True):
             mono = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")
             if k == 0:
                 term = str(v)
@@ -152,6 +229,7 @@ L_ZERO = Laurent()
 L_ONE = Laurent.const(1)
 # s^2 reduces to this polynomial.
 L_S_SQUARED = Laurent({0: 1, 1: -4})
+QUARTER = Fraction(1, 4)
 
 
 class AlgebraElement:
@@ -211,6 +289,10 @@ class AlgebraElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             w = out[key] + coeff if key in out else coeff
@@ -245,6 +327,17 @@ class AlgebraElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not self.terms or not other.terms:
+            return ZERO
+        if other == ONE:
+            return self
+        if self == ONE:
+            return other
+        for mono, rest in ((other, self), (self, other)):
+            if len(mono.terms) == 1:
+                ((key, p),) = mono.terms.items()
+                if len(p.nums) == 1:
+                    return rest._times_monomial(key, p)
         out: dict[tuple[int, int, int], Laurent] = {}
         for (a1, b1, c1), p1 in self.terms.items():
             for (a2, b2, c2), p2 in other.terms.items():
@@ -264,6 +357,21 @@ class AlgebraElement:
         return res
 
     __rmul__ = __mul__
+
+    def _times_monomial(self, key: tuple[int, int, int], p: Laurent) -> "AlgebraElement":
+        """self * p * H1^a H2^b s^c for a one-term p: distinct keys stay
+        distinct and no product vanishes, so nothing is merged or dropped."""
+        ma, mb, mc = key
+        out = {}
+        for (a, b, c), coeff in self.terms.items():
+            coeff = coeff * p
+            if c and mc:
+                out[(a + ma, b + mb, 0)] = coeff * L_S_SQUARED  # s^2 = 1 - 4t
+            else:
+                out[(a + ma, b + mb, c + mc)] = coeff
+        res = AlgebraElement.__new__(AlgebraElement)
+        res.terms = out
+        return res
 
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:
@@ -294,13 +402,8 @@ class AlgebraElement:
     def mul_laurent(self, p: Laurent) -> "AlgebraElement":
         if p.is_zero():
             return ZERO
-        out = {}
-        for key, coeff in self.terms.items():
-            w = coeff * p
-            if not w.is_zero():
-                out[key] = w
         res = AlgebraElement.__new__(AlgebraElement)
-        res.terms = out
+        res.terms = {key: coeff * p for key, coeff in self.terms.items()}
         return res
 
     def __truediv__(self, other) -> "AlgebraElement":
@@ -311,9 +414,10 @@ class AlgebraElement:
                 raise ZeroDivisionError("division by zero")
             return self.scale(1 / q)
         if isinstance(other, AlgebraElement):
-            if list(other.terms) == [(0, 0, 0)] and len(other.terms[(0, 0, 0)].terms) == 1:
-                ((k, v),) = other.terms[(0, 0, 0)].terms.items()
-                return self.scale(1 / v).shift_t(-k)
+            if list(other.terms) == [(0, 0, 0)] and len(other.terms[(0, 0, 0)].nums) == 1:
+                p = other.terms[(0, 0, 0)]
+                ((k, n),) = p.nums.items()
+                return self.scale(Fraction(p.den, n)).shift_t(-k)
             raise ValueError("division only by rational multiples of t^k")
         return NotImplemented
 
@@ -351,23 +455,23 @@ class AlgebraElement:
         out = {}
         for key, coeff in self.terms.items():
             halved = {}
-            for e, v in coeff.terms.items():
+            for e, n in coeff.nums.items():
                 if e % 2:
                     raise ValueError(f"odd t-exponent {e}: no sqrt-t form")
-                halved[e // 2] = v
-            out[key] = Laurent(halved)
+                halved[e // 2] = n
+            out[key] = _stored(halved, coeff.den)
         return AlgebraElement(out)
 
     # -- evaluation -----------------------------------------------------
 
     def eval_quarter(self) -> "PiPoly":
         """Exact substitution t -> 1/4, H1 -> 4/pi, H2 -> 8/(3 pi), s -> 0."""
-        quarter = Fraction(1, 4)
         out: dict[int, Fraction] = {}
         for (a, b, c), coeff in self.terms.items():
             if c == 1:
                 continue  # s(1/4) = 0
-            value = coeff.eval_at(quarter) * Fraction(4) ** a * Fraction(8, 3) ** b
+            value = coeff.eval_at(QUARTER)
+            value = Fraction(value.numerator * 4**a * 8**b, value.denominator * 3**b)
             d = a + b
             w = out.get(d, Fraction(0)) + value
             if w:
@@ -393,9 +497,7 @@ class AlgebraElement:
                 + ([f"H2^{b}"] if b > 1 else ["H2"] if b == 1 else [])
                 + (["s"] if c else [])
             )
-            coeff = self.terms[key]
-            for e in sorted(coeff.terms, reverse=True):
-                v = coeff.terms[e]
+            for e, v in sorted(self.terms[key].terms.items(), reverse=True):
                 factors = []
                 if v == -1 and (e != 0 or gens):
                     sign = "-"
@@ -421,10 +523,7 @@ class AlgebraElement:
         if not self.terms:
             return "0"
         m = min(0, self.min_t_exponent())
-        denoms = [v.denominator for p in self.terms.values() for v in p.terms.values()]
-        lead = 1
-        for d in denoms:
-            lead = lead * d // _gcd(lead, d)
+        lead = lcm(*(p.den for p in self.terms.values()))
         num = self.scale(lead).shift_t(-m)
         num_str = str(num)
         if lead == 1 and m == 0:
@@ -441,12 +540,6 @@ class AlgebraElement:
             coeff = {str(e): str(v) for e, v in sorted(self.terms[key].terms.items(), reverse=True)}
             out.append({"h1": a, "h2": b, "s": c, "coeff": coeff})
         return {"terms": out}
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 ZERO = AlgebraElement.zero()
@@ -501,13 +594,23 @@ def eval_quarter(x: AlgebraElement) -> "PiPoly":
     return x.eval_quarter()
 
 
-# pi to 100 decimal places, used only for decimal display of exact values.
+# pi truncated to 100 decimal places, used only for decimal display of exact
+# values: pi lies in [_PI_FRACTION, _PI_FRACTION + 10^-100].
 PI_DIGITS = (
     "3."
     "1415926535897932384626433832795028841971693993751"
     "058209749445923078164062862089986280348253421170679"
 )
-_PI_FRACTION = Fraction(int(PI_DIGITS.replace(".", "")), 10 ** (len(PI_DIGITS) - 2))
+_PI_PLACES = len(PI_DIGITS) - 2
+_PI_FRACTION = Fraction(int(PI_DIGITS.replace(".", "")), 10**_PI_PLACES)
+_PI_UPPER = _PI_FRACTION + Fraction(1, 10**_PI_PLACES)
+
+
+def _truncated(value: Fraction, digits: int) -> str:
+    sign = "-" if value < 0 else ""
+    value = abs(value)
+    int_part, frac_part = divmod(value.numerator * 10**digits // value.denominator, 10**digits)
+    return f"{sign}{int_part}.{frac_part:0{digits}d}"
 
 
 class PiPoly:
@@ -625,13 +728,26 @@ class PiPoly:
         )
 
     def to_decimal(self, digits: int = 12) -> str:
-        """Truncated decimal expansion with `digits` places after the point."""
-        value = self.to_fraction()
-        sign = "-" if value < 0 else ""
-        value = abs(value)
-        scaled = value.numerator * 10**digits // value.denominator
-        int_part, frac_part = divmod(scaled, 10**digits)
-        return f"{sign}{int_part}.{frac_part:0{digits}d}"
+        """Truncated decimal expansion with `digits` places after the point.
+
+        Each term v/pi^d is bounded with pi in [PI, PI + 10^-100], and the
+        truncation is returned only when both ends of the resulting interval
+        truncate to the same text; otherwise the 100 known digits of pi are
+        too few and ValueError is raised.
+        """
+        low = high = Fraction(0)
+        for d, v in self.coeffs.items():
+            small, large = v / _PI_UPPER**d, v / _PI_FRACTION**d
+            if v < 0:
+                small, large = large, small
+            low += small
+            high += large
+        text = _truncated(low, digits)
+        if _truncated(high, digits) != text:
+            raise ValueError(
+                f"{digits} decimal places need pi beyond the {_PI_PLACES} places known here"
+            )
+        return text
 
     def to_json(self):
         return [[d, str(self.coeffs[d])] for d in sorted(self.coeffs, reverse=True)]

@@ -1,5 +1,6 @@
 """Exact-algebra arithmetic, normal forms, hypergeometric elements, evaluation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -152,6 +153,186 @@ def test_eval_quarter_is_ring_morphism():
         assert eval_quarter(x + y) == eval_quarter(x) + eval_quarter(y)
 
 
+# -- differential test of the integer kernel against {exp: Fraction} dicts --
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for k, v in y.items():
+        out[k] = out.get(k, Fraction(0)) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_mul(x, y):
+    out = {}
+    for k1, v1 in x.items():
+        for k2, v2 in y.items():
+            out = _ref_add(out, {k1 + k2: v1 * v2})
+    return out
+
+
+def _ref_eval(x, point):
+    return sum((v * point**k for k, v in x.items()), Fraction(0))
+
+
+def _ref_element_mul(x, y):
+    out = {}
+    for (a1, b1, c1), p1 in x.items():
+        for (a2, b2, c2), p2 in y.items():
+            p, c = _ref_mul(p1, p2), c1 + c2
+            if c == 2:
+                p, c = _ref_mul(p, {0: Fraction(1), 1: Fraction(-4)}), 0
+            key = (a1 + a2, b1 + b2, c)
+            out[key] = _ref_add(out.get(key, {}), p)
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_element_add(x, y):
+    out = {k: _ref_add(x.get(k, {}), y.get(k, {})) for k in set(x) | set(y)}
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_eval_quarter(x):
+    out = {}
+    for (a, b, c), p in x.items():
+        if c == 0:
+            d = a + b
+            out[d] = out.get(d, Fraction(0)) + _ref_eval(p, Fraction(1, 4)) * 4**a * Fraction(8, 3) ** b
+    return {d: v for d, v in out.items() if v}
+
+
+def _assert_stored_form(p):
+    """The kernel invariants: no zero numerator, den > 0, gcd(den, *nums) == 1,
+    and the zero polynomial over den == 1."""
+    assert isinstance(p.den, int) and p.den > 0
+    assert all(isinstance(n, int) and n for n in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert p.nums or p.den == 1
+
+
+def _as_ref(x):
+    for p in x.terms.values():
+        _assert_stored_form(p)
+    return {k: p.terms for k, p in x.terms.items()}
+
+
+def _random_ref_laurent(rng):
+    if rng.random() < 0.1:
+        return {}
+    return {
+        k: v
+        for k, v in (
+            (rng.randint(-6, 6), Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 4, 6, 9, 35])))
+            for _ in range(rng.randint(1, 5))
+        )
+        if v
+    }
+
+
+def _random_ref_element(rng):
+    if rng.random() < 0.1:
+        return {}
+    out = {}
+    for _ in range(rng.randint(1, 4)):
+        p = _random_ref_laurent(rng)
+        if p:
+            out[(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1))] = p
+    return out
+
+
+def test_laurent_kernel_matches_fraction_reference():
+    rng = random.Random(11)
+    points = [Fraction(1, 4), Fraction(-2, 3), Fraction(5), Fraction(-1), Fraction(7, 10)]
+    for _ in range(400):
+        x, y = _random_ref_laurent(rng), _random_ref_laurent(rng)
+        lx, ly = Laurent(x), Laurent(y)
+        q = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        k = rng.randint(-5, 5)
+        results = {
+            "+": (lx + ly, _ref_add(x, y)),
+            "-": (lx - ly, _ref_add(x, {e: -v for e, v in y.items()})),
+            "*": (lx * ly, _ref_mul(x, y)),
+            "neg": (-lx, {e: -v for e, v in x.items()}),
+            "scale": (lx.scale(q), {e: v * q for e, v in x.items() if q}),
+            "scale int": (lx.scale(-3), {e: -3 * v for e, v in x.items()}),
+            "shift": (lx.shift(k), {e + k: v for e, v in x.items()}),
+        }
+        for op, (got, expected) in results.items():
+            _assert_stored_form(got)
+            assert got.terms == expected, (op, x, y, q, k)
+            # equal values built another way have the same stored form and hash
+            assert got == Laurent(expected) and hash(got) == hash(Laurent(expected)), op
+        for point in points:
+            assert lx.eval_at(point) == _ref_eval(x, point)
+        if all(e >= 0 for e in x):
+            assert lx.eval_at(Fraction(0)) == x.get(0, 0)
+    assert Laurent({2: Fraction(3, 6), -1: 2, 4: 0}).terms == {2: Fraction(1, 2), -1: 2}
+    assert Laurent({1: Fraction(1, 2)}) + Laurent({1: Fraction(1, 2)}) == Laurent.t_power(1)
+    assert (Laurent({0: Fraction(1, 2)}) - Laurent({0: Fraction(1, 2)})).den == 1
+    with pytest.raises(TypeError):
+        Laurent({0: 0.5})
+
+
+def _element(ref):
+    return AlgebraElement({key: Laurent(p) for key, p in ref.items()})
+
+
+def _ref_negated(x):
+    return {key: {e: -v for e, v in p.items()} for key, p in x.items()}
+
+
+def test_element_kernel_matches_fraction_reference():
+    from catsum.engine import MINUS_ONE, T_INV, T_INV2
+
+    rng = random.Random(12)
+    # the driver's coefficients, s, and a few other monomials, each with its
+    # value written out as a reference
+    monomials = [
+        (ONE, {(0, 0, 0): {0: 1}}),
+        (MINUS_ONE, {(0, 0, 0): {0: -1}}),
+        (T_INV, {(0, 0, 0): {-1: 1}}),
+        (T_INV.scale(-1), {(0, 0, 0): {-1: -1}}),
+        (T_INV2, {(0, 0, 0): {-2: 1}}),
+        (T_INV2.scale(-1), {(0, 0, 0): {-2: -1}}),
+        (SQRT_1_4T, {(0, 0, 1): {0: 1}}),
+        (SQRT_1_4T.scale(Fraction(-3, 7)).shift_t(-2), {(0, 0, 1): {-2: Fraction(-3, 7)}}),
+        (H1.scale(Fraction(5, 2)).shift_t(3), {(1, 0, 0): {3: Fraction(5, 2)}}),
+        (H2 * SQRT_1_4T, {(0, 1, 1): {0: 1}}),
+    ]
+    for m, rm in monomials:
+        assert _as_ref(m) == rm
+    for i in range(300):
+        x, y = _random_ref_element(rng), _random_ref_element(rng)
+        ex, ey = _element(x), _element(y)
+        m, rm = monomials[i % len(monomials)]
+        m2, rm2 = monomials[(i // len(monomials)) % len(monomials)]
+        q = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+        k = rng.randint(-4, 4)
+        y0 = {(0, 0, 0): y[(0, 0, 0)]} if (0, 0, 0) in y else {}
+        results = {
+            "+": (ex + ey, _ref_element_add(x, y)),
+            "-": (ex - ey, _ref_element_add(x, _ref_negated(y))),
+            "neg": (-ex, _ref_negated(x)),
+            "*": (ex * ey, _ref_element_mul(x, y)),
+            "monomial * x": (m * ex, _ref_element_mul(rm, x)),
+            "x * monomial": (ex * m, _ref_element_mul(x, rm)),
+            "monomial * monomial": (m * m2, _ref_element_mul(rm, rm2)),
+            "scale": (ex.scale(q), {key: {e: v * q for e, v in p.items()} for key, p in x.items()} if q else {}),
+            "shift_t": (ex.shift_t(k), {key: {e + k: v for e, v in p.items()} for key, p in x.items()}),
+            "mul_laurent": (ex.mul_laurent(Laurent(y0.get((0, 0, 0)))), _ref_element_mul(x, y0)),
+        }
+        for op, (got, expected) in results.items():
+            assert _as_ref(got) == expected, (op, x, y)
+            rebuilt = _element(expected)
+            assert got == rebuilt and hash(got) == hash(rebuilt), op
+        assert eval_quarter(ex) == PiPoly(_ref_eval_quarter(x))
+    # s * s through the monomial path: s^2 = 1 - 4t
+    assert _as_ref(SQRT_1_4T * SQRT_1_4T) == {(0, 0, 0): {0: 1, 1: -4}}
+    assert _as_ref(SQRT_1_4T.shift_t(-1) * SQRT_1_4T.scale(2)) == {(0, 0, 0): {-1: 2, 0: -8}}
+    assert ONE * H1 is H1 and H1 * ONE is H1
+    assert (ZERO * H1).is_zero() and (H1 * ZERO).is_zero()
+
+
 def test_division():
     third = AlgebraElement.from_laurent(Laurent.t_power(2, 3))
     assert (H1 * third) / third == H1
@@ -200,10 +381,42 @@ def test_json_shapes():
     assert PiPoly({1: 16, 0: -4}).to_json() == [[1, "16"], [0, "-4"]]
 
 
+def _pi_times_power_of_ten(places):
+    """pi * 10^places to within a few units, from Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239) on integers with guard digits."""
+    guard = 10
+    unit = 10 ** (places + guard)
+
+    def arctan_inverse(x):
+        total = term = unit // x
+        n, sign = 1, 1
+        while term:
+            term //= x * x
+            n += 2
+            sign = -sign
+            total += sign * (term // n)
+        return total
+
+    return (16 * arctan_inverse(5) - 4 * arctan_inverse(239)) // 10**guard
+
+
 def test_pipoly_decimal_truncates():
     # 1/pi = 0.3183098861837906..., truncation keeps 12 exact digits
     assert PiPoly({1: 1}).to_decimal(12) == "0.318309886183"
     assert PiPoly({0: Fraction(-1, 8)}).to_decimal(3) == "-0.125"
+    # 90 places of 1/pi and of 16/pi - 4, against digits derived from
+    # Machin's formula (its error of a few units in 10^-130 cannot reach
+    # the 90th place)
+    pi_scaled = _pi_times_power_of_ten(130)
+    inverse = 10 ** (90 + 130) // pi_scaled
+    assert PiPoly({1: 1}).to_decimal(90) == f"0.{inverse:090d}"
+    s_eq0 = 16 * 10 ** (90 + 130) // pi_scaled - 4 * 10**90
+    digits = f"{s_eq0 // 10**90}.{s_eq0 % 10**90:090d}"
+    assert PiPoly({1: 16, 0: -4}).to_decimal(90) == digits
+    assert PiPoly({1: -16, 0: 4}).to_decimal(90) == "-" + digits
+    # pi is known to 100 places only: deeper truncations are refused
+    with pytest.raises(ValueError, match="100 places"):
+        PiPoly({1: 1}).to_decimal(120)
 
 
 def test_generator_series_match_algebra_generators():
