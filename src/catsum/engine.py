@@ -77,9 +77,11 @@ MINUS_ONE = ONE.scale(-1)
 
 class DepthGuardExceeded(RuntimeError):
     """The reduction used up its cycle budget (`Engine.max_cycles`) or
-    revisited a tree already on the reduction stack.  Large trees can
-    exhaust the default budget: the canonically decorated path on 32
-    vertices needs more than 10^5 reduction cycles."""
+    revisited a tree already on the reduction stack.  The stack is tracked
+    per canonical key, and a revisit is a tree equal, vertex for vertex, to
+    one on the stack under the same key.  Large trees can exhaust the
+    default budget: the canonically decorated path on 32 vertices needs
+    more than 10^5 reduction cycles."""
 
 
 def _holds(lhs: int, rel: str, rhs: int) -> bool:
@@ -214,10 +216,11 @@ class Engine:
         self.trace = trace
         self.memo: dict[bytes, AlgebraElement] = {}
         self.cycles = 0
-        # Cycle detection keys on the exact indexed tree: a color-symmetric
-        # tree shares its canonical key with its own color swap, which the
-        # driver may legitimately visit while the original is on the stack.
-        self._in_progress: set[DecoratedTree] = set()
+        # The trees on the reduction stack, by canonical key.  Cycle detection
+        # compares exact indexed trees: a color-symmetric tree shares its
+        # canonical key with its own color swap, which the driver may
+        # legitimately visit while the original is on the stack.
+        self._in_progress: dict[bytes, list[DecoratedTree]] = {}
 
     # -- public entry points ----------------------------------------------
 
@@ -225,12 +228,15 @@ class Engine:
         key = canonical_key(tree)
         if self.memoize and key in self.memo:
             return self.memo[key]
-        if tree in self._in_progress:
+        on_stack = self._in_progress.get(key)
+        if on_stack is not None and tree in on_stack:
             raise DepthGuardExceeded("reduction revisited a tree already on the stack")
         self.cycles += 1
         if self.cycles > self.max_cycles:
             raise DepthGuardExceeded(f"more than {self.max_cycles} driver cycles")
-        self._in_progress.add(tree)
+        if on_stack is None:
+            on_stack = self._in_progress[key] = []
+        on_stack.append(tree)
         try:
             rule, site, expr = self.step(tree)
             if self.trace is not None:
@@ -242,7 +248,9 @@ class Engine:
                     term = term * self.reduce(factor)
                 total = total + term
         finally:
-            self._in_progress.discard(tree)
+            on_stack.pop()
+            if not on_stack:
+                del self._in_progress[key]
         if self.memoize:
             self.memo[key] = total
         return total
@@ -260,7 +268,7 @@ class Engine:
         if tree.height == 1:
             deco = tree.decos[0]
             return "two-vertex-base", 0, [(base_sum(deco.rel, deco.shift), ())]
-        v = min(u for u in range(len(tree)) if tree.fringe_height(u) == 2)
+        v = tree.fringe_heights.index(2)
         tree = self._normalize_branches(tree, v)
         deco = tree.decos[v]
         if deco.rel == REL_NONE:
@@ -324,71 +332,61 @@ class Engine:
 
     def _find_generic_rewrite(self, tree: DecoratedTree):
         n = len(tree)
+        decos, parents = tree.decos, tree.parents
         # Factor at a nonroot equality: the fringe splits off as an
         # independent factor and its shift sum replaces the variables above.
         for v in range(1, n):
-            if tree.decos[v].rel == REL_EQ:
+            if decos[v].rel == REL_EQ:
                 parts = (without_subtree(tree, v), subtree_at(tree, v))
                 return "factor-equality", v, [(ONE, parts)]
         # Move a nonzero shift on an inequality one step toward zero,
         # peeling off an equality term.
-        for v in range(n):
-            deco = tree.decos[v]
-            if deco.rel in (REL_LE, REL_GE) and deco.shift != 0:
+        for v, deco in enumerate(decos):
+            if deco.shift != 0 and deco.rel in (REL_LE, REL_GE):
                 return "shift-toward-zero", v, self._shift_step(tree, v)
+        leaves = tree.leaves
         # A gray leaf is a bare indicator on its shift.
-        for v in range(1, n):
-            if tree.is_leaf(v) and tree.decos[v].color == GRAY:
-                deco = tree.decos[v]
+        for v in leaves:
+            deco = decos[v]
+            if deco.color == GRAY:
                 if not _holds(0, deco.rel, deco.shift):
                     return "drop-gray-leaf", v, []
-                smaller = without_leaves(
-                    with_shift_added(tree, tree.parents[v], deco.shift), (v,)
-                )
+                smaller = without_leaves(with_shift_added(tree, parents[v], deco.shift), (v,))
                 return "drop-gray-leaf", v, [(ONE, (smaller,))]
         # A leaf inequality is void or forces the variable to zero.
-        for v in range(1, n):
-            if tree.is_leaf(v):
-                deco = tree.decos[v]
-                if deco.color != GRAY and deco.rel in (REL_LE, REL_GE):
-                    void = (deco.color == WHITE) == (deco.rel == REL_GE)
-                    new_rel = REL_NONE if void else REL_EQ
-                    return "relax-leaf", v, [(ONE, (with_relation(tree, v, new_rel),))]
+        for v in leaves:
+            deco = decos[v]
+            if deco.color != GRAY and deco.rel in (REL_LE, REL_GE):
+                void = (deco.color == WHITE) == (deco.rel == REL_GE)
+                new_rel = REL_NONE if void else REL_EQ
+                return "relax-leaf", v, [(ONE, (with_relation(tree, v, new_rel),))]
         # Shifts under a void relation transfer to the parent.
-        for v in range(n):
-            deco = tree.decos[v]
-            if deco.rel == REL_NONE and deco.shift != 0:
+        for v, deco in enumerate(decos):
+            if deco.shift != 0 and deco.rel == REL_NONE:
                 if v == 0:
                     smaller = with_shift(tree, 0, 0)
                 else:
-                    smaller = with_shift(with_shift_added(tree, tree.parents[v], deco.shift), v, 0)
+                    smaller = with_shift(with_shift_added(tree, parents[v], deco.shift), v, 0)
                 return "push-free-shift", v, [(ONE, (smaller,))]
-        # Twin relation-free leaves merge through the Catalan convolution.
+        # Twin relation-free leaves merge through the Catalan convolution:
+        # the lowest leaf with a same-colored sibling leaf, and the next one.
+        first_twin: dict[tuple[int, int], int] = {}
         best_pair = None
-        for v in range(1, n):
-            if not tree.is_leaf(v):
-                continue
-            for w in range(v + 1, n):
-                if (
-                    tree.is_leaf(w)
-                    and tree.parents[w] == tree.parents[v]
-                    and tree.decos[w].color == tree.decos[v].color
-                ):
-                    if best_pair is None or (v, w) < best_pair:
-                        best_pair = (v, w)
-                    break
+        for w in leaves:
+            v = first_twin.setdefault((parents[w], decos[w].color), w)
+            if v != w and (best_pair is None or v < best_pair[0]):
+                best_pair = (v, w)
         if best_pair is not None:
             return "merge-twin-leaves", best_pair[0], self._twin_step(tree, *best_pair)
         # A relation-free leaf under a same-colored parent merges with it.
-        for v in range(1, n):
-            if tree.is_leaf(v):
-                color = tree.decos[v].color
-                if color != GRAY and color == tree.decos[tree.parents[v]].color:
-                    return "merge-leaf-into-parent", v, self._consecutive_step(tree, v)
+        for v in leaves:
+            color = decos[v].color
+            if color != GRAY and color == decos[parents[v]].color:
+                return "merge-leaf-into-parent", v, self._consecutive_step(tree, v)
         # A relation-free leaf under a gray parent hands it its variable.
-        for v in range(1, n):
-            if tree.is_leaf(v) and tree.decos[tree.parents[v]].color == GRAY:
-                merged = with_absorbed_leaf(tree, tree.parents[v], v)
+        for v in leaves:
+            if decos[parents[v]].color == GRAY:
+                merged = with_absorbed_leaf(tree, parents[v], v)
                 return "absorb-leaf-into-gray", v, [(ONE, (merged,))]
         return None
 

@@ -10,15 +10,18 @@ vertex a triple (color, relation, shift):
   shift     a signed integer added to the right-hand side of the condition
 
 The sum attached to a decorated tree does not depend on the order of
-siblings, so the memoization key sorts children encodings recursively.
-Trees are immutable; every structural edit returns a new tree.
+siblings, so the memoization key encodes each vertex as its decoration
+followed by the sorted encodings of its children.  It is built bottom-up in
+one pass over the vertices in reverse index order, which visits every child
+before its parent (the AHU tree-isomorphism encoding).  Trees are
+immutable; every structural edit returns a new tree, laid out in preorder.
+Every walk over a tree is a loop, so deep trees need no recursion.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 
 WHITE, GRAY, BLACK = 1, 0, -1
@@ -67,6 +70,9 @@ class Decoration:
             raise ValueError(f"invalid color {self.color}")
         if self.rel not in RELATIONS:
             raise ValueError(f"invalid relation {self.rel!r}")
+        # The bytes that open this vertex's encoding in `canonical_key`.  Not
+        # a field, so equality, hashing and repr are unaffected.
+        object.__setattr__(self, "key_head", f"({self.color}{self.rel}{self.shift}".encode())
 
     def flipped(self) -> "Decoration":
         return Decoration(-self.color, _FLIP_REL[self.rel], -self.shift)
@@ -76,6 +82,26 @@ class Decoration:
 
 
 NULL_DECO_BLACK = Decoration(BLACK, REL_NONE, 0)
+# The middles of long-star branches of each kind i, j, k (see `with_replaced_fringe`).
+_BRANCH_MIDDLES = tuple(Decoration(WHITE, rel, 0) for rel in (REL_GE, REL_LE, REL_NONE))
+
+
+class _lazy:
+    """A value computed on first read and stored in the instance `__dict__`,
+    where later reads find it before this non-data descriptor.  Unlike
+    `functools.cached_property` before Python 3.12 it takes no lock: two
+    threads racing on a first read both compute the same value."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -91,7 +117,7 @@ class PlainTree:
     def __len__(self):
         return len(self.parents)
 
-    @cached_property
+    @_lazy
     def children(self) -> tuple[tuple[int, ...], ...]:
         return _children_of(self.parents)
 
@@ -109,32 +135,46 @@ class DecoratedTree:
     def __len__(self):
         return len(self.parents)
 
-    @cached_property
+    @_lazy
     def children(self) -> tuple[tuple[int, ...], ...]:
         return _children_of(self.parents)
 
-    @cached_property
+    @_lazy
     def depths(self) -> tuple[int, ...]:
         out = [0] * len(self.parents)
         for v in range(1, len(self.parents)):
             out[v] = out[self.parents[v]] + 1
         return tuple(out)
 
-    @cached_property
-    def height(self) -> int:
-        return max(self.depths)
+    @_lazy
+    def fringe_heights(self) -> tuple[int, ...]:
+        """For each vertex, the height of its fringe subtree."""
+        parents = self.parents
+        out = [0] * len(parents)
+        for v in range(len(parents) - 1, 0, -1):
+            h = out[v] + 1
+            if h > out[parents[v]]:
+                out[parents[v]] = h
+        return tuple(out)
 
-    @cached_property
+    @_lazy
+    def height(self) -> int:
+        return self.fringe_heights[0]
+
+    @_lazy
     def path_length(self) -> int:
         """Total path length: sum over vertices of the distance to the root."""
         return sum(self.depths)
 
-    @cached_property
+    @_lazy
     def nongray_count(self) -> int:
         return sum(1 for d in self.decos if d.color != GRAY)
 
-    def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
+    @_lazy
+    def leaves(self) -> tuple[int, ...]:
+        """The nonroot vertices without children, in index order."""
+        children = self.children
+        return tuple(v for v in range(1, len(children)) if not children[v])
 
     def subtree(self, v: int) -> list[int]:
         """Vertices of the fringe subtree at v, in preorder."""
@@ -145,19 +185,17 @@ class DecoratedTree:
             i += 1
         return out
 
-    def fringe_height(self, v: int) -> int:
-        base = self.depths[v]
-        return max(self.depths[u] for u in self.subtree(v)) - base
-
     def postorder(self) -> list[int]:
+        """Children before parents, siblings in index order."""
+        # Reversed, a postorder visits each vertex before its subtrees and
+        # those subtrees from the last sibling to the first.
         out: list[int] = []
-
-        def walk(v: int):
-            for c in self.children[v]:
-                walk(c)
+        stack = [0]
+        while stack:
+            v = stack.pop()
             out.append(v)
-
-        walk(0)
+            stack.extend(self.children[v])
+        out.reverse()
         return out
 
     def shift_sums(self) -> tuple[int, ...]:
@@ -225,14 +263,15 @@ def parse_plain(text: str) -> PlainTree:
 
 def plain_to_text(tree: PlainTree) -> str:
     parts: list[str] = []
-
-    def walk(v: int):
+    stack = [0]  # a vertex v to open, or ~v to close
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            parts.append(")")
+            continue
         parts.append("(")
-        for c in tree.children[v]:
-            walk(c)
-        parts.append(")")
-
-    walk(0)
+        stack.append(~v)
+        stack.extend(reversed(tree.children[v]))
     body = "".join(parts)
     return HALF_EDGE_PREFIX + body if tree.half_edge else body
 
@@ -326,15 +365,36 @@ def canonical_decorate(tree: PlainTree) -> DecoratedTree:
 
 
 def canonical_key(tree: DecoratedTree) -> bytes:
-    """Memoization key, invariant under sibling permutation."""
+    """Memoization key, invariant under sibling permutation.
 
-    def encode(v: int) -> bytes:
-        d = tree.decos[v]
-        head = f"({d.color}{d.rel}{d.shift}".encode()
-        kids = sorted(encode(c) for c in tree.children[v])
-        return head + b"".join(kids) + b")"
-
-    return encode(0)
+    A vertex encodes as its decoration's `key_head`, the sorted encodings of
+    its children and b")"; the key is the root's encoding.  One pass in
+    reverse index order finishes each vertex after all its children and
+    hands its encoding to its parent's list.  `Engine` also keys its
+    in-progress bookkeeping on it, and compares whole trees only when two
+    on the reduction stack share a key (a color-symmetric tree and its swap).
+    """
+    parents = tree.parents
+    decos = tree.decos
+    pending: list[list[bytes] | None] = [None] * len(parents)
+    for v in range(len(parents) - 1, 0, -1):
+        kids = pending[v]
+        if kids is None:
+            enc = decos[v].key_head + b")"
+        else:
+            pending[v] = None  # release the children's encodings
+            kids.sort()
+            enc = decos[v].key_head + b"".join(kids) + b")"
+        siblings = pending[parents[v]]
+        if siblings is None:
+            pending[parents[v]] = [enc]
+        else:
+            siblings.append(enc)
+    kids = pending[0]
+    if kids is None:
+        return decos[0].key_head + b")"
+    kids.sort()
+    return decos[0].key_head + b"".join(kids) + b")"
 
 
 def swap_colors(tree: DecoratedTree) -> DecoratedTree:
@@ -351,34 +411,29 @@ def swap_colors(tree: DecoratedTree) -> DecoratedTree:
 # ---------------------------------------------------------------------------
 
 
-class _Node:
-    __slots__ = ("deco", "kids")
-
-    def __init__(self, deco: Decoration):
-        self.deco = deco
-        self.kids: list["_Node"] = []
-
-
-def _to_nodes(tree: DecoratedTree) -> list[_Node]:
-    nodes = [_Node(d) for d in tree.decos]
-    for v in range(1, len(tree)):
-        nodes[tree.parents[v]].kids.append(nodes[v])
-    return nodes
-
-
-def _from_node(root: _Node) -> DecoratedTree:
+def _rebuild(kids, decos, root: int = 0) -> DecoratedTree:
+    """The tree reachable from `root` through the child lists `kids`, with
+    decorations `decos` (both indexed by vertex), laid out in preorder with
+    children in list order.  Every structural edit returns this layout,
+    whatever the layout of its input."""
     parents: list[int] = []
-    decos: list[Decoration] = []
-
-    def walk(node: _Node, parent: int):
+    out: list[Decoration] = []
+    stack = [(root, -1)]  # (vertex, index of its parent in the output)
+    while stack:
+        v, p = stack.pop()
         idx = len(parents)
-        parents.append(parent)
-        decos.append(node.deco)
-        for kid in node.kids:
-            walk(kid, idx)
+        parents.append(p)
+        out.append(decos[v])
+        for c in reversed(kids[v]):
+            stack.append((c, idx))
+    return DecoratedTree(tuple(parents), tuple(out))
 
-    walk(root, -1)
-    return DecoratedTree(tuple(parents), tuple(decos))
+
+def _without(kids, v: int) -> list[int]:
+    """A copy of the child list `kids` without v; ValueError if v is absent."""
+    out = list(kids)
+    out.remove(v)
+    return out
 
 
 def with_decoration(tree: DecoratedTree, v: int, deco: Decoration) -> DecoratedTree:
@@ -403,48 +458,51 @@ def with_shift_added(tree: DecoratedTree, v: int, delta: int) -> DecoratedTree:
 
 def subtree_at(tree: DecoratedTree, v: int) -> DecoratedTree:
     """The fringe subtree at v as a tree of its own."""
-    nodes = _to_nodes(tree)
-    return _from_node(nodes[v])
+    return _rebuild(tree.children, tree.decos, v)
 
 
 def without_subtree(tree: DecoratedTree, v: int) -> DecoratedTree:
     """Remove v together with all its descendants (v must not be the root)."""
     if v == 0:
         raise ValueError("cannot remove the root subtree")
-    nodes = _to_nodes(tree)
-    nodes[tree.parents[v]].kids.remove(nodes[v])
-    return _from_node(nodes[0])
+    kids = list(tree.children)
+    p = tree.parents[v]
+    kids[p] = _without(kids[p], v)
+    return _rebuild(kids, tree.decos)
 
 
 def without_leaves(tree: DecoratedTree, leaves: tuple[int, ...]) -> DecoratedTree:
-    nodes = _to_nodes(tree)
+    kids = list(tree.children)
     for v in leaves:
-        if nodes[v].kids:
+        if kids[v]:
             raise ValueError(f"vertex {v} is not a leaf")
-        nodes[tree.parents[v]].kids.remove(nodes[v])
-    return _from_node(nodes[0])
+        p = tree.parents[v]
+        kids[p] = _without(kids[p], v)
+    return _rebuild(kids, tree.decos)
 
 
 def with_children_reattached(tree: DecoratedTree, v: int) -> DecoratedTree:
     """Move all children of the nonroot vertex v to v's parent; v becomes a leaf."""
     if v == 0:
         raise ValueError("the root has no parent to reattach to")
-    nodes = _to_nodes(tree)
-    parent = nodes[tree.parents[v]]
-    node = nodes[v]
-    pos = parent.kids.index(node)
-    parent.kids[pos + 1 : pos + 1] = node.kids
-    node.kids = []
-    return _from_node(nodes[0])
+    kids = list(tree.children)
+    p = tree.parents[v]
+    siblings = list(kids[p])
+    pos = siblings.index(v)
+    siblings[pos + 1 : pos + 1] = kids[v]
+    kids[p] = siblings
+    kids[v] = ()
+    return _rebuild(kids, tree.decos)
 
 
 def with_absorbed_leaf(tree: DecoratedTree, parent: int, leaf: int) -> DecoratedTree:
     """Delete a relation-free leaf and give its color to its gray parent."""
     pd = tree.decos[parent]
-    nodes = _to_nodes(tree)
-    nodes[parent].kids.remove(nodes[leaf])
-    nodes[parent].deco = Decoration(tree.decos[leaf].color, pd.rel, pd.shift)
-    return _from_node(nodes[0])
+    kids = list(tree.children)
+    kids[parent] = _without(kids[parent], leaf)
+    decos = list(tree.decos)
+    decos[parent] = Decoration(tree.decos[leaf].color, pd.rel, pd.shift)
+    return _rebuild(kids, decos)
 
 
 def with_pulled_down_variable(tree: DecoratedTree, v: int, leaf: int) -> DecoratedTree:
@@ -453,14 +511,14 @@ def with_pulled_down_variable(tree: DecoratedTree, v: int, leaf: int) -> Decorat
     d = tree.decos[v]
     if d.color == GRAY:
         raise ValueError("vertex is already gray")
-    nodes = _to_nodes(tree)
-    middle = _Node(Decoration(d.color, REL_NONE, 0))
-    leaf_node = nodes[leaf]
-    nodes[v].kids.remove(leaf_node)
-    middle.kids.append(leaf_node)
-    nodes[v].kids.append(middle)
-    nodes[v].deco = Decoration(GRAY, d.rel, d.shift)
-    return _from_node(nodes[0])
+    kids = list(tree.children)
+    decos = list(tree.decos)
+    middle = len(decos)
+    kids[v] = _without(kids[v], leaf) + [middle]
+    kids.append((leaf,))
+    decos.append(Decoration(d.color, REL_NONE, 0))
+    decos[v] = Decoration(GRAY, d.rel, d.shift)
+    return _rebuild(kids, decos)
 
 
 def with_branch_colors_swapped(tree: DecoratedTree, middle: int, leaf: int) -> DecoratedTree:
@@ -476,11 +534,12 @@ def with_merged_twins(
     tree: DecoratedTree, w1: int, w2: int, merged_deco: Decoration
 ) -> DecoratedTree:
     """Replace the twin leaves w1, w2 by a single leaf with the given decoration."""
-    nodes = _to_nodes(tree)
-    parent = nodes[tree.parents[w1]]
-    parent.kids.remove(nodes[w2])
-    nodes[w1].deco = merged_deco
-    return _from_node(nodes[0])
+    kids = list(tree.children)
+    p = tree.parents[w1]
+    kids[p] = _without(kids[p], w2)
+    decos = list(tree.decos)
+    decos[w1] = merged_deco
+    return _rebuild(kids, decos)
 
 
 def with_replaced_fringe(
@@ -493,16 +552,18 @@ def with_replaced_fringe(
     i/j/k branches whose white middles carry (ge,0)/(le,0)/(none,0) over a
     relation-free black leaf."""
     i, j, k = branches
-    nodes = _to_nodes(tree)
-    node = nodes[v]
-    node.deco = center
-    node.kids = []
-    for rel, count in ((REL_GE, i), (REL_LE, j), (REL_NONE, k)):
+    kids = list(tree.children)
+    decos = list(tree.decos)
+    decos[v] = center
+    star: list[int] = []
+    for middle, count in zip(_BRANCH_MIDDLES, (i, j, k)):
         for _ in range(count):
-            mid = _Node(Decoration(WHITE, rel, 0))
-            mid.kids.append(_Node(NULL_DECO_BLACK))
-            node.kids.append(mid)
-    return _from_node(nodes[0])
+            m = len(decos)  # the branch is vertices m (middle) and m + 1 (leaf)
+            star.append(m)
+            kids += [(m + 1,), ()]
+            decos += [middle, NULL_DECO_BLACK]
+    kids[v] = star
+    return _rebuild(kids, decos)
 
 
 # ---------------------------------------------------------------------------
@@ -518,24 +579,25 @@ def is_good_tree(tree: DecoratedTree) -> bool:
     two same-colored leaf siblings; (v) no leaf shares its parent's color;
     (vi) no leaf has a gray parent.
     """
-    for v in range(len(tree)):
-        d = tree.decos[v]
+    decos = tree.decos
+    for v, d in enumerate(decos):
         if v and d.rel == REL_EQ:
             return False
         if d.rel in (REL_LE, REL_GE) and d.shift != 0:
             return False
-    for v in range(1, len(tree)):
-        if tree.is_leaf(v):
-            d = tree.decos[v]
-            if d.color == GRAY or d.rel != REL_NONE or d.shift != 0:
-                return False
-            pcolor = tree.decos[tree.parents[v]].color
-            if pcolor == d.color or pcolor == GRAY:
-                return False
-    for v in range(len(tree)):
-        leaf_colors = [tree.decos[c].color for c in tree.children[v] if tree.is_leaf(c)]
-        if len(leaf_colors) != len(set(leaf_colors)):
+    parents = tree.parents
+    leaf_sites = set()
+    for v in tree.leaves:
+        d = decos[v]
+        if d.color == GRAY or d.rel != REL_NONE or d.shift != 0:
             return False
+        pcolor = decos[parents[v]].color
+        if pcolor == d.color or pcolor == GRAY:
+            return False
+        site = (parents[v], d.color)
+        if site in leaf_sites:
+            return False
+        leaf_sites.add(site)
     return True
 
 
@@ -577,17 +639,18 @@ def classify_fringe(tree: DecoratedTree, v: int) -> LongStarPattern:
     """
     if not is_good_tree(tree):
         raise NotGoodTreeError("long-star classification requires a good tree")
-    if tree.fringe_height(v) != 2:
+    if tree.fringe_heights[v] != 2:
         raise NotHeightTwoError(f"fringe at vertex {v} does not have height 2")
+    children = tree.children
     counts = {REL_GE: 0, REL_LE: 0, REL_NONE: 0}
     extra_leaf = None
     middles = []
-    for c in tree.children[v]:
-        if tree.is_leaf(c):
+    for c in children[v]:
+        if not children[c]:
             extra_leaf = c  # goodness permits at most one
             continue
-        kids = tree.children[c]
-        if len(kids) != 1 or not tree.is_leaf(kids[0]):
+        kids = children[c]
+        if len(kids) != 1 or children[kids[0]]:
             raise PatternMismatchError(f"child {c} is not a two-vertex branch")
         d = tree.decos[c]
         if d.rel == REL_EQ or d.shift != 0:
@@ -636,10 +699,35 @@ def _pruefer_to_parents(seq: tuple[int, ...], n: int) -> list[list[int]]:
     return adj
 
 
-def _rooted_encoding(adj: list[list[int]], v: int, parent: int = -1) -> str:
-    """Sibling-order-invariant encoding of the subtree at v hanging off parent."""
-    kids = sorted(_rooted_encoding(adj, c, v) for c in adj[v] if c != parent)
-    return "(" + "".join(kids) + ")"
+def _canonical_children(adj: list[list[int]], root: int) -> tuple[list, str]:
+    """For the tree spanned by the adjacency lists from `root`: each vertex's
+    children sorted by the sibling-order-invariant encoding of their subtrees
+    (ties in adjacency order), and the encoding of the whole tree."""
+    above = [-1] * len(adj)
+    order = [root]
+    for v in order:
+        for c in adj[v]:
+            if c != above[v]:
+                above[c] = v
+                order.append(c)
+    enc: list[str | None] = [None] * len(adj)
+    kids_of: list[list[int] | None] = [None] * len(adj)
+    for v in reversed(order):
+        kids = [c for c in adj[v] if c != above[v]]
+        if len(kids) > 1:
+            kids.sort(key=enc.__getitem__)
+        kids_of[v] = kids
+        parts = []
+        for c in kids:
+            parts.append(enc[c])
+            enc[c] = None  # release: only the parent's encoding needs it
+        enc[v] = "(" + "".join(parts) + ")"
+    return kids_of, enc[root]
+
+
+def _rooted_encoding(adj: list[list[int]], root: int) -> str:
+    """Sibling-order-invariant encoding of the tree rooted at `root`."""
+    return _canonical_children(adj, root)[1]
 
 
 def _centroids(adj: list[list[int]], n: int) -> list[int]:
@@ -686,18 +774,15 @@ def plain_from_adjacency(
     """The tree spanned by the adjacency lists from `root`, in preorder.
     Children follow adjacency order, or canonical-encoding order when
     `canonical` is set."""
+    kids_of = _canonical_children(adj, root)[0] if canonical else None
     parents: list[int] = []
-
-    def build(v: int, parent_vertex: int, parent_idx: int):
+    stack = [(root, -1, -1)]  # (vertex, parent vertex, parent index)
+    while stack:
+        v, parent_vertex, parent_idx = stack.pop()
         idx = len(parents)
         parents.append(parent_idx)
-        kids = [c for c in adj[v] if c != parent_vertex]
-        if canonical:
-            kids.sort(key=lambda c: _rooted_encoding(adj, c, v))
-        for c in kids:
-            build(c, v, idx)
-
-    build(root, -1, -1)
+        kids = kids_of[v] if canonical else [c for c in adj[v] if c != parent_vertex]
+        stack.extend((c, v, idx) for c in reversed(kids))
     return PlainTree(tuple(parents), half_edge)
 
 

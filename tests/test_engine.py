@@ -188,6 +188,15 @@ def test_rewrite_once_twin_merge():
     assert c1 == ONE.shift_t(-1) and c2 == ONE.shift_t(-1).scale(-1)
     assert len(merged) == 2 and merged.decos[1] == Decoration(WHITE, REL_NONE, 1)
     assert len(dropped) == 1 and dropped.decos[0].shift == 1
+    # Two twin pairs: the merge takes the lowest leaf that has a twin, here
+    # 1 (twin 5), although the pair 3, 4 is complete first in index order.
+    black, white = Decoration(BLACK, REL_NONE, 0), Decoration(WHITE, REL_NONE, 0)
+    tree = DecoratedTree(
+        (-1, 0, 0, 2, 2, 0), (Decoration(WHITE, REL_EQ, 0), black, black, white, white, black)
+    )
+    rule, site, ((_, (merged,)), _) = Engine().step(tree)
+    assert (rule, site) == ("merge-twin-leaves", 1)
+    assert merged.parents == (-1, 0, 0, 2, 2) and merged.decos[1] == Decoration(BLACK, REL_NONE, -1)
 
 
 def test_rewrite_once_no_rule():
@@ -465,6 +474,35 @@ def test_depth_guard():
     tree = canonical_decorate(parse_plain("((())(())())"))
     with pytest.raises(DepthGuardExceeded):
         Engine(max_cycles=5).reduce(tree)
+
+
+def test_engine_recovers_after_cycle_budget():
+    """A budget failure leaves no tree marked as in progress: the same
+    engine, given a larger budget, then reduces the tree correctly."""
+    tree = canonical_decorate(parse_plain("((())(())())"))
+    engine = Engine(max_cycles=5)
+    with pytest.raises(DepthGuardExceeded, match="driver cycles"):
+        engine.reduce(tree)
+    assert not engine._in_progress
+    engine.max_cycles = 10**5
+    assert series_expand(engine.reduce(tree), 8) == brute_force_decorated(tree, 8)
+    assert not engine._in_progress
+
+
+def test_revisit_guard():
+    """A rewrite that leads back to a tree still being reduced is reported,
+    and the failed reduction leaves no tree marked as in progress."""
+
+    class Looping(Engine):
+        def step(self, tree):
+            return "identity", 0, [(ONE, (tree,))]
+
+    tree = canonical_decorate(parse_plain("(()())"))
+    engine = Looping()
+    with pytest.raises(DepthGuardExceeded, match="revisited a tree already on the stack"):
+        engine.reduce(tree)
+    assert engine.cycles == 1
+    assert not engine._in_progress
 
 
 def test_color_symmetric_tree_survives_swap():

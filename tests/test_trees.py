@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -24,7 +25,9 @@ from catsum.trees import (
     TreeSchemaError,
     TreeSyntaxError,
     canonical_decorate,
+    PlainTree,
     canonical_key,
+    centroid_rooted,
     classify_fringe,
     decorated_to_json,
     enumerate_free_trees,
@@ -32,7 +35,16 @@ from catsum.trees import (
     parse_decorated,
     parse_plain,
     plain_to_text,
+    reroot,
+    subtree_at,
     swap_colors,
+    with_absorbed_leaf,
+    with_children_reattached,
+    with_merged_twins,
+    with_pulled_down_variable,
+    with_replaced_fringe,
+    without_leaves,
+    without_subtree,
 )
 
 from conftest import long_star_tree, random_decorated_tree
@@ -290,3 +302,219 @@ def test_derived_metrics():
     assert tree.path_length == 0 + 1 + 2 + 1
     assert tree.nongray_count == 4
     assert tree.depths == (0, 1, 2, 1)
+    assert tree.fringe_heights == (2, 1, 0, 0)
+    assert tree.leaves == (2, 3)
+    assert tree.children is tree.children  # computed once, then read from the instance
+
+
+# -- reference implementations: recursive, one object per vertex ------------------
+
+
+def _reference_children(parents):
+    kids = [[] for _ in parents]
+    for v in range(1, len(parents)):
+        kids[parents[v]].append(v)
+    return kids
+
+
+def _reference_key(tree: DecoratedTree) -> bytes:
+    kids = _reference_children(tree.parents)
+
+    def encode(v: int) -> bytes:
+        d = tree.decos[v]
+        head = f"({d.color}{d.rel}{d.shift}".encode()
+        return head + b"".join(sorted(encode(c) for c in kids[v])) + b")"
+
+    return encode(0)
+
+
+class _RefNode:
+    def __init__(self, deco):
+        self.deco = deco
+        self.kids = []
+
+
+def _ref_nodes(tree):
+    nodes = [_RefNode(d) for d in tree.decos]
+    for v in range(1, len(tree)):
+        nodes[tree.parents[v]].kids.append(nodes[v])
+    return nodes
+
+
+def _ref_tree(root) -> DecoratedTree:
+    parents, decos = [], []
+
+    def walk(node, parent):
+        idx = len(parents)
+        parents.append(parent)
+        decos.append(node.deco)
+        for kid in node.kids:
+            walk(kid, idx)
+
+    walk(root, -1)
+    return DecoratedTree(tuple(parents), tuple(decos))
+
+
+def _ref_edit(name, tree, *args) -> DecoratedTree:
+    nodes = _ref_nodes(tree)
+    if name == "subtree_at":
+        return _ref_tree(nodes[args[0]])
+    if name == "without_subtree":
+        (v,) = args
+        nodes[tree.parents[v]].kids.remove(nodes[v])
+    elif name == "without_leaves":
+        for v in args[0]:
+            assert not nodes[v].kids
+            nodes[tree.parents[v]].kids.remove(nodes[v])
+    elif name == "with_children_reattached":
+        (v,) = args
+        parent = nodes[tree.parents[v]]
+        pos = parent.kids.index(nodes[v])
+        parent.kids[pos + 1 : pos + 1] = nodes[v].kids
+        nodes[v].kids = []
+    elif name == "with_absorbed_leaf":
+        parent, leaf = args
+        pd = tree.decos[parent]
+        nodes[parent].kids.remove(nodes[leaf])
+        nodes[parent].deco = Decoration(tree.decos[leaf].color, pd.rel, pd.shift)
+    elif name == "with_pulled_down_variable":
+        v, leaf = args
+        d = tree.decos[v]
+        middle = _RefNode(Decoration(d.color, REL_NONE, 0))
+        nodes[v].kids.remove(nodes[leaf])
+        middle.kids.append(nodes[leaf])
+        nodes[v].kids.append(middle)
+        nodes[v].deco = Decoration(GRAY, d.rel, d.shift)
+    elif name == "with_merged_twins":
+        w1, w2, merged = args
+        nodes[tree.parents[w1]].kids.remove(nodes[w2])
+        nodes[w1].deco = merged
+    elif name == "with_replaced_fringe":
+        v, center, branches = args
+        nodes[v].deco = center
+        nodes[v].kids = []
+        for rel, count in zip((REL_GE, REL_LE, REL_NONE), branches):
+            for _ in range(count):
+                mid = _RefNode(Decoration(WHITE, rel, 0))
+                mid.kids.append(_RefNode(Decoration(BLACK, REL_NONE, 0)))
+                nodes[v].kids.append(mid)
+    else:
+        raise AssertionError(name)
+    return _ref_tree(nodes[0])
+
+
+EDITS = {
+    "subtree_at": subtree_at,
+    "without_subtree": without_subtree,
+    "without_leaves": without_leaves,
+    "with_children_reattached": with_children_reattached,
+    "with_absorbed_leaf": with_absorbed_leaf,
+    "with_pulled_down_variable": with_pulled_down_variable,
+    "with_merged_twins": with_merged_twins,
+    "with_replaced_fringe": with_replaced_fringe,
+}
+
+
+def _edit_sites(tree: DecoratedTree):
+    """Every valid call of every structural edit on `tree`."""
+    n = len(tree)
+    kids = _reference_children(tree.parents)
+    leaves = [v for v in range(1, n) if not kids[v]]
+    twins = [(a, b) for a in leaves for b in leaves if a != b and tree.parents[a] == tree.parents[b]]
+    yield from (("subtree_at", v) for v in range(n))
+    yield from (("without_subtree", v) for v in range(1, n))
+    yield from (("without_leaves", (v,)) for v in leaves)
+    yield from (("without_leaves", pair) for pair in twins)
+    yield from (("with_children_reattached", v) for v in range(1, n))
+    yield from (("with_absorbed_leaf", tree.parents[v], v) for v in leaves)
+    yield from (
+        ("with_pulled_down_variable", tree.parents[v], v)
+        for v in range(1, n)
+        if tree.decos[tree.parents[v]].color != GRAY
+    )
+    merged = Decoration(WHITE, REL_NONE, 1)
+    yield from (("with_merged_twins", a, b, merged) for a, b in twins)
+    center = Decoration(GRAY, REL_LE, -1)
+    for v in range(n):
+        for branches in ((0, 0, 0), (1, 0, 2), (2, 3, 1)):
+            yield ("with_replaced_fringe", v, center, branches)
+
+
+def _shuffled_layout(tree: DecoratedTree, rng) -> DecoratedTree:
+    """The same tree with its siblings permuted and its vertices numbered in
+    a random topological order (parents before children, rarely preorder)."""
+    kids = _reference_children(tree.parents)
+    for k in kids:
+        rng.shuffle(k)
+    order, frontier, above = [], [0], {0: -1}
+    while frontier:
+        v = frontier.pop(rng.randrange(len(frontier)))
+        order.append(v)
+        for c in kids[v]:
+            above[c] = v
+        frontier.extend(kids[v])
+    index = {v: i for i, v in enumerate(order)}
+    parents = tuple(index[above[v]] if above[v] >= 0 else -1 for v in order)
+    return DecoratedTree(parents, tuple(tree.decos[v] for v in order))
+
+
+def _random_layout_trees(seed: int, count: int):
+    """Random decorated trees in random layouts, some in breadth-first order
+    and some read back through the JSON schema."""
+    rng = random.Random(seed)
+    for i in range(count):
+        tree = _shuffled_layout(random_decorated_tree(rng, max_vertices=12, kmin=-12, kmax=12), rng)
+        if i % 3 == 1:
+            depths = [0] * len(tree)
+            for v in range(1, len(tree)):
+                depths[v] = depths[tree.parents[v]] + 1
+            order = sorted(range(len(tree)), key=lambda v: depths[v])
+            index = {v: j for j, v in enumerate(order)}
+            tree = DecoratedTree(
+                tuple(index[tree.parents[v]] if v else -1 for v in order),
+                tuple(tree.decos[v] for v in order),
+            )
+        if i % 3 == 2:
+            tree = parse_decorated(json.dumps(decorated_to_json(tree)))
+        yield rng, tree
+
+
+def test_canonical_key_matches_recursive_reference():
+    trees = 0
+    for rng, tree in _random_layout_trees(401, 400):
+        key = canonical_key(tree)
+        assert key == _reference_key(tree)
+        for _ in range(3):
+            other = _shuffled_layout(tree, rng)
+            assert canonical_key(other) == key == _reference_key(other)
+        trees += 1
+    assert trees == 400
+
+
+def test_structural_edits_match_node_rebuild_reference():
+    calls = {name: 0 for name in EDITS}
+    for _, tree in _random_layout_trees(402, 300):
+        for name, *args in _edit_sites(tree):
+            assert EDITS[name](tree, *args) == _ref_edit(name, tree, *args), (name, args, tree)
+            calls[name] += 1
+    assert min(calls.values()) > 100, calls
+
+
+def test_deep_path_walks_need_no_recursion():
+    """A 5,000-vertex path goes through every tree walk under the default
+    recursion limit."""
+    limit = sys.getrecursionlimit()
+    assert limit < 5000
+    n = 5000
+    text = "(" * n + ")" * n
+    plain = parse_plain(text)
+    assert plain_to_text(plain) == text
+    tree = canonical_decorate(plain)
+    heads = b"".join(f"({d.color}{d.rel}{d.shift}".encode() for d in tree.decos)
+    assert canonical_key(tree) == heads + b")" * n
+    assert tree.postorder() == list(range(n - 1, -1, -1))
+    assert subtree_at(tree, 2500) == DecoratedTree(tuple(range(-1, 2499)), tree.decos[2500:])
+    assert reroot(plain, n - 1) == PlainTree(tuple(range(-1, n - 1)))
+    half, rest = "(" * 2500 + ")" * 2500, "(" * 2499 + ")" * 2499
+    assert plain_to_text(centroid_rooted(plain)) == "(" + half + rest + ")"
+    assert sys.getrecursionlimit() == limit
