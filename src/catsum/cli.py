@@ -13,7 +13,8 @@ Subcommands:
 <tree> is plain tree text such as "(()())" (optionally prefixed with
 "halfedge:"), the path of a decorated-tree JSON file, or inline JSON.
 
-Exit codes: 0 success, 1 verification/table mismatch, 2 parse errors.
+Exit codes: 0 success, 1 verification/table mismatch or an exhausted oracle
+or cycle budget, 2 parse errors.
 `--json` switches every subcommand to machine-readable output.  The
 environment variable CATSUM_ORACLE_BUDGET overrides the oracle work budget.
 """
@@ -28,7 +29,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import AlgebraElement
-from .engine import Engine
+from .engine import DepthGuardExceeded, Engine
 from .meanders import MeanderError, faces, forest, parse_meander, probability
 from .series import (
     DEFAULT_BUDGET,
@@ -305,9 +306,9 @@ def main(argv=None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, DepthGuardExceeded) as exc:
         if args.json:
-            print(json.dumps({"error": str(exc), "kind": "BudgetExceededError"}))
+            print(json.dumps({"error": str(exc), "kind": type(exc).__name__}))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return MISMATCH

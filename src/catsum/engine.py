@@ -4,10 +4,10 @@ The driver turns an arbitrary decorated tree into its sum S(T) by
 repeatedly rewriting it into combinations of strictly simpler trees:
 
   1. trees of height 0 have closed forms;
-  2. a fixed priority list of local rewrites (factor out equalities, move
-     shifts toward zero, simplify leaves, merge twin or parent/child
-     Catalan variables, absorb leaves into gray vertices) normalizes the
-     tree into the "good" class;
+  2. a fixed priority list of local rewrites (factor out equalities, peel
+     inequality shifts to zero in one rewrite, simplify leaves, merge twin
+     or parent/child Catalan variables, absorb leaves into gray vertices)
+     normalizes the tree into the "good" class;
   3. good trees of height 1 are the two-vertex base sums;
   4. taller good trees are attacked at a height-2 fringe, which is always
      a long star; the star relations, a tridiagonal linear system and, for
@@ -125,15 +125,23 @@ def height_zero_sum(deco: Decoration) -> AlgebraElement:
     return _partial_catalan(k)  # le
 
 
+def _peel(rel: str, k: int) -> list[tuple[int, int]]:
+    """The signed equality layers (sign, r) with
+    [x rel k] = [x rel 0] + sum sign * [x eq r], for rel ge or le."""
+    lo, hi = min(k, 0), max(k, 0)
+    if rel == REL_GE:
+        return [(-1 if k > 0 else 1, r) for r in range(lo, hi)]
+    return [(1 if k > 0 else -1, r) for r in range(lo + 1, hi + 1)]
+
+
 @lru_cache(maxsize=None)
 def base_sum(rel: str, k: int) -> AlgebraElement:
     """The two-vertex sum S_{rel,K} = sum_{a,b>=0} Cat_a Cat_b t^{a+b} [a rel b+K].
 
     S_{none,K} = C(t)^2;  S_{eq,K} = (H^(|K|) - 1)/alpha_|K| with
-    alpha_M = -4(2M-1) t^{2-M} / ((M+1) Cat_M);  S_{ge,0} is the average of
-    the two, and general shifts peel off equality layers:
-    S_{ge,K} = S_{ge,0} - sum_{r<K} S_{eq,r} and
-    S_{ge,-K} = S_{ge,0} + sum_{0<r<=K} S_{eq,r}.  S_{le,K} = S_{ge,-K}.
+    alpha_M = -4(2M-1) t^{2-M} / ((M+1) Cat_M);  S_{ge,0} = S_{le,0} is the
+    average of the two, and general shifts peel off the equality layers of
+    `_peel`: S_{rel,K} = S_{ge,0} + sum sign * S_{eq,r}.
     """
     if rel == REL_NONE:
         c = catalan_gf()
@@ -142,64 +150,41 @@ def base_sum(rel: str, k: int) -> AlgebraElement:
         m = abs(k)
         inv_alpha = Fraction((m + 1) * catalan(m), -4 * (2 * m - 1))
         return (hypergeom_hk(m) - ONE).scale(inv_alpha).shift_t(m - 2)
-    if rel == REL_LE:
-        return base_sum(REL_GE, -k)
-    if rel != REL_GE:
+    if rel not in (REL_GE, REL_LE):
         raise ValueError(f"unknown relation {rel!r}")
-    if k == 0:
-        return (base_sum(REL_NONE, 0) + base_sum(REL_EQ, 0)).scale(Fraction(1, 2))
-    if k > 0:
-        total = base_sum(REL_GE, 0)
-        for r in range(k):
-            total = total - base_sum(REL_EQ, r)
-        return total
-    total = base_sum(REL_GE, 0)
-    for r in range(1, -k + 1):
-        total = total + base_sum(REL_EQ, r)
+    total = (base_sum(REL_NONE, 0) + base_sum(REL_EQ, 0)).scale(Fraction(1, 2))
+    for sign, r in _peel(rel, k):
+        total = total + base_sum(REL_EQ, r).scale(sign)
     return total
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _eq_power(d: int, total: int) -> AlgebraElement:
+    """The coefficient of z^total in (sum_{x>=0} S_{eq,x} z^x)^d: the sum over
+    d nonnegative branch differences adding up to `total` (zero for total < 0)."""
+    if total < 0:
+        return ZERO
+    series = [base_sum(REL_EQ, x) for x in range(total + 1)]
+    power = series
+    for _ in range(d - 1):
+        power = [
+            sum((power[a] * series[m - a] for a in range(m + 1)), ZERO) for m in range(total + 1)
+        ]
+    return power[total]
 
 
 def tridiagonal_inverse(n: int) -> list[list[Fraction]]:
-    """Exact inverse of the n x n matrix 2I - J (diagonal 2, off-diagonals 1)."""
-    aug = [
-        [Fraction(2 if r == c else (1 if abs(r - c) == 1 else 0)) for c in range(n)]
-        + [Fraction(1 if r == c else 0) for c in range(n)]
+    """Exact inverse of the n x n tridiagonal matrix with 2 on the diagonal and
+    1 beside it: entry (r, c) is (-1)^(r+c) (min(r,c)+1) (n-max(r,c)) / (n+1)."""
+    return [
+        [Fraction((-1) ** (r + c) * (min(r, c) + 1) * (n - max(r, c)), n + 1) for c in range(n)]
         for r in range(n)
     ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def tridiagonal_determinant(n: int) -> Fraction:
-    """Determinant of 2I - J by the cofactor recurrence d_n = 2 d_{n-1} - d_{n-2}."""
-    prev, cur = Fraction(1), Fraction(2)
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * cur - prev
-    return cur
+    """Determinant of that matrix: the cofactor recurrence
+    d_n = 2 d_{n-1} - d_{n-2}, d_0 = 1, d_1 = 2 solves to n + 1."""
+    return Fraction(n + 1)
 
 
 class Engine:
@@ -286,8 +271,9 @@ class Engine:
         return self._long_star_step(tree, v, pattern)
 
     def long_star_solve(self, tree: DecoratedTree, v: int, d: int) -> list[AlgebraElement]:
-        """Solve the (d-1)x(d-1) system 2I - J for the mixed gray stars
-        V_{r,d-r,0}, r = 1..d-1, grafted at v; returns the solution list."""
+        """Solve the (d-1)x(d-1) tridiagonal system (2 on the diagonal, 1 beside
+        it) for the mixed gray stars V_{r,d-r,0}, r = 1..d-1, grafted at v;
+        returns the solution list."""
         deco = tree.decos[v]
 
         def graft(i: int, j: int, k: int) -> DecoratedTree:
@@ -305,13 +291,11 @@ class Engine:
             rhs.append(x)
         rhs[0] = rhs[0] - self.reduce(graft(0, d, 0))
         rhs[-1] = rhs[-1] - self.reduce(graft(d, 0, 0))
-        inverse = tridiagonal_inverse(d - 1)
         solution = []
-        for r in range(d - 1):
+        for row in tridiagonal_inverse(d - 1):
             acc = ZERO
-            for c in range(d - 1):
-                if inverse[r][c]:
-                    acc = acc + rhs[c].scale(inverse[r][c])
+            for x, entry in zip(rhs, row):
+                acc = acc + x.scale(entry)
             solution.append(acc)
         if self.memoize:
             for r in range(1, d):
@@ -339,8 +323,8 @@ class Engine:
             if decos[v].rel == REL_EQ:
                 parts = (without_subtree(tree, v), subtree_at(tree, v))
                 return "factor-equality", v, [(ONE, parts)]
-        # Move a nonzero shift on an inequality one step toward zero,
-        # peeling off an equality term.
+        # Move a nonzero shift on an inequality to zero, peeling off its
+        # equality layers.
         for v, deco in enumerate(decos):
             if deco.shift != 0 and deco.rel in (REL_LE, REL_GE):
                 return "shift-toward-zero", v, self._shift_step(tree, v)
@@ -391,8 +375,8 @@ class Engine:
         return None
 
     def _shift_step(self, tree: DecoratedTree, v: int) -> SumExpr:
-        """Split `x rel kappa` into the same relation with kappa one closer to
-        the vertex shift being zero, plus/minus an equality term.  Changing the
+        """Split `x rel kappa` into the same relation with shift zero plus the
+        signed equality layers of `_peel`, in one rewrite.  Each changed
         stored shift is compensated at the parent so all other conditions keep
         their right-hand sides."""
         deco = tree.decos[v]
@@ -404,13 +388,9 @@ class Engine:
                 out = with_shift_added(out, tree.parents[v], k - new_k)
             return out
 
-        if deco.rel == REL_GE:
-            if k > 0:
-                return [(ONE, (variant(REL_GE, k - 1),)), (MINUS_ONE, (variant(REL_EQ, k - 1),))]
-            return [(ONE, (variant(REL_GE, k + 1),)), (ONE, (variant(REL_EQ, k),))]
-        if k > 0:
-            return [(ONE, (variant(REL_LE, k - 1),)), (ONE, (variant(REL_EQ, k),))]
-        return [(ONE, (variant(REL_LE, k + 1),)), (MINUS_ONE, (variant(REL_EQ, k + 1),))]
+        return [(ONE, (variant(deco.rel, 0),))] + [
+            (ONE if sign > 0 else MINUS_ONE, (variant(REL_EQ, r),)) for sign, r in _peel(deco.rel, k)
+        ]
 
     def _twin_step(self, tree: DecoratedTree, w1: int, w2: int) -> SumExpr:
         """sum_{a+b=L-1} Cat_a Cat_b = Cat_L: two same-colored relation-free
@@ -470,19 +450,7 @@ class Engine:
                         (MINUS_ONE, (graft(WHITE, rel, k_shift, i + 1, j - 1, 0),)),
                     ],
                 )
-            d = i
-            if rel == REL_GE:
-                # The center condition follows from the branch conditions.
-                return "ustar-drop-implied-center", v, [(ONE, (with_relation(tree, v, REL_NONE),))]
-            if rel == REL_LE:
-                # Everything is pinched: center variable 0, branches equal.
-                assert k_shift == 0
-                value = s0**d
-                if v == 0:
-                    return "ustar-forced-equalities", v, [(value, ())]
-                return "ustar-forced-equalities", v, [(value, (without_subtree(tree, v),))]
-            assert rel == REL_EQ and v == 0
-            return "ustar-finite-enumeration", v, [(self._u_star_eq_value(d, k_shift), ())]
+            return self._one_sided_star_step(tree, v, i, lowered=False)
 
         # gray center
         if k >= 2:
@@ -509,48 +477,34 @@ class Engine:
         if i > 0 and j > 0:
             solution = self.long_star_solve(tree, v, i + j)
             return "vstar-linear-system", v, [(solution[i - 1], ())]
-        d = i + j
-        if (i and rel == REL_GE) or (j and rel == REL_LE):
-            return "vstar-drop-implied-center", v, [(ONE, (with_relation(tree, v, REL_NONE),))]
-        if (i and rel == REL_LE) or (j and rel == REL_GE):
-            assert k_shift == 0
-            value = s0**d
-            if v == 0:
-                return "vstar-forced-equalities", v, [(value, ())]
-            return "vstar-forced-equalities", v, [(value, (without_subtree(tree, v),))]
+        return self._one_sided_star_step(tree, v, i + j, lowered=j > 0)
+
+    def _one_sided_star_step(self, tree: DecoratedTree, v: int, d: int, lowered: bool):
+        """A star whose d branches are all `ge`, or all `le` when `lowered`.
+        Read from the `ge` side (flipped when lowered), the center condition
+        is implied by the branches (ge), pinches every branch to equality
+        (le), or, at an equality root, bounds the branch differences by the
+        root shift: a finite enumeration.  A white center's variable r >= 0
+        contributes Cat_r t^r toward that total."""
+        deco = tree.decos[v]
+        prefix = "ustar" if deco.color == WHITE else "vstar"
+        seen = deco.flipped() if lowered else deco
+        rel, k = seen.rel, seen.shift
+        if rel == REL_GE:
+            return f"{prefix}-drop-implied-center", v, [(ONE, (with_relation(tree, v, REL_NONE),))]
+        if rel == REL_LE:
+            assert k == 0
+            value = base_sum(REL_EQ, 0) ** d
+            rest = (without_subtree(tree, v),) if v else ()
+            return f"{prefix}-forced-equalities", v, [(value, rest)]
         assert rel == REL_EQ and v == 0
-        return "vstar-finite-enumeration", v, [(self._v_star_eq_value(i, j, k_shift), ())]
-
-    def _v_star_eq_value(self, i: int, j: int, k_shift: int) -> AlgebraElement:
-        """Equality-rooted one-sided gray star: the branch differences are
-        nonnegative integers with a fixed finite total, so the sum is a finite
-        combination of products of two-vertex equality sums."""
-        d, total = (i, k_shift) if i else (j, -k_shift)
-        if total < 0:
-            return ZERO
-        value = ZERO
-        for comp in _compositions(total, d):
-            term = ONE
-            for x in comp:
-                term = term * base_sum(REL_EQ, x)
-            value = value + term
-        return value
-
-    def _u_star_eq_value(self, d: int, k_shift: int) -> AlgebraElement:
-        """Equality-rooted white star: same enumeration with the root variable
-        r >= 0 contributing Cat_r t^r toward the total."""
-        if k_shift < 0:
-            return ZERO
-        value = ZERO
-        for r in range(k_shift + 1):
-            inner = ZERO
-            for comp in _compositions(k_shift - r, d):
-                term = ONE
-                for x in comp:
-                    term = term * base_sum(REL_EQ, x)
-                inner = inner + term
-            value = value + inner.mul_laurent(Laurent.t_power(r, catalan(r)))
-        return value
+        if deco.color == GRAY:
+            value = _eq_power(d, k)
+        else:
+            value = ZERO
+            for r in range(k + 1):
+                value = value + _eq_power(d, k - r).mul_laurent(Laurent.t_power(r, catalan(r)))
+        return f"{prefix}-finite-enumeration", v, [(value, ())]
 
 
 def reduce_tree(tree: DecoratedTree, **kwargs) -> AlgebraElement:

@@ -610,8 +610,7 @@ class LongStarPattern:
 
     i, j, k count the branches whose middle carries (ge,0), (le,0) and
     (none,0); extra_leaf records a single leaf hanging directly off the
-    center (possible only for white or black centers); middles holds, per
-    branch, the (middle, leaf) vertex pair in the original indexing.
+    center (possible only for white or black centers).
     """
 
     center_color: int
@@ -619,16 +618,11 @@ class LongStarPattern:
     j: int
     k: int
     extra_leaf: int | None
-    middles: tuple[tuple[int, int], ...]
 
     @property
     def kind(self) -> str:
         name = _PATTERN_KIND[self.center_color]
         return name + ("PlusLeaf" if self.extra_leaf is not None else "")
-
-    @property
-    def size(self) -> int:
-        return self.i + self.j + self.k
 
 
 def classify_fringe(tree: DecoratedTree, v: int) -> LongStarPattern:
@@ -644,7 +638,6 @@ def classify_fringe(tree: DecoratedTree, v: int) -> LongStarPattern:
     children = tree.children
     counts = {REL_GE: 0, REL_LE: 0, REL_NONE: 0}
     extra_leaf = None
-    middles = []
     for c in children[v]:
         if not children[c]:
             extra_leaf = c  # goodness permits at most one
@@ -656,7 +649,6 @@ def classify_fringe(tree: DecoratedTree, v: int) -> LongStarPattern:
         if d.rel == REL_EQ or d.shift != 0:
             raise PatternMismatchError(f"branch middle {c} carries {d.rel},{d.shift}")
         counts[d.rel] += 1
-        middles.append((c, kids[0]))
     if extra_leaf is not None and tree.decos[v].color == GRAY:
         raise PatternMismatchError("gray center with a direct leaf child")
     return LongStarPattern(
@@ -665,7 +657,6 @@ def classify_fringe(tree: DecoratedTree, v: int) -> LongStarPattern:
         counts[REL_LE],
         counts[REL_NONE],
         extra_leaf,
-        tuple(middles),
     )
 
 

@@ -155,6 +155,22 @@ def test_oracle_budget_env(monkeypatch, capsys):
     assert code == 0
 
 
+def test_cycle_budget_exhausted_is_a_typed_error(monkeypatch, capsys):
+    import functools
+
+    import catsum.cli
+    from catsum.engine import Engine
+
+    monkeypatch.setattr(catsum.cli, "Engine", functools.partial(Engine, max_cycles=5))
+    code, out, _ = run(capsys, "--json", "sum", "((()())(()())())")
+    assert code == 1
+    blob = json.loads(out)
+    assert blob["kind"] == "DepthGuardExceeded" and "driver cycles" in blob["error"]
+    code, out, err = run(capsys, "sum", "((()())(()())())")
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "driver cycles" in err
+
+
 def test_trace_goes_to_stderr(capsys):
     code, out, err = run(capsys, "--trace", "sum", "(())")
     assert code == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from catsum.algebra import H1, H2, ONE, AlgebraElement, Laurent, PiPoly, catalan_gf
+from catsum.algebra import H1, H2, ONE, ZERO, AlgebraElement, Laurent, PiPoly, catalan_gf
 from catsum.engine import (
     DepthGuardExceeded,
     Engine,
@@ -15,7 +15,7 @@ from catsum.engine import (
     tridiagonal_determinant,
     tridiagonal_inverse,
 )
-from catsum.series import brute_force_decorated, series_expand
+from catsum.series import brute_force_decorated, catalan, series_expand
 from catsum.trees import (
     BLACK,
     GRAY,
@@ -58,8 +58,9 @@ def test_base_sum_closed_forms():
 
 
 def test_base_sums_match_oracle():
+    """Shifts up to +-5 check the equality layers that `_peel` takes off."""
     for rel in (REL_EQ, REL_LE, REL_GE, REL_NONE):
-        for k in range(-3, 4):
+        for k in range(-5, 6):
             series = series_expand(base_sum(rel, k), 8)
             assert series == brute_force_decorated(two_vertex(rel, k), 8), (rel, k)
             # black-rooted orientation gives the same sums
@@ -137,7 +138,7 @@ def test_reduce_eight_vertex_example(shared_engine):
     assert [series.coeffs[2 * i] for i in range(6)] == [1, 7, 58, 542, 5508, 59508]
 
 
-def test_rewrite_once_equality_factor():
+def test_step_equality_factor():
     tree = DecoratedTree(
         (-1, 0, 1),
         (
@@ -153,7 +154,7 @@ def test_rewrite_once_equality_factor():
     assert len(parts[0]) == 1 and len(parts[1]) == 2
 
 
-def test_rewrite_once_leaf_rules():
+def test_step_leaf_rules():
     tree = DecoratedTree(
         (-1, 0),
         (Decoration(WHITE, REL_NONE, 0), Decoration(BLACK, REL_GE, 0)),
@@ -173,7 +174,7 @@ def test_rewrite_once_leaf_rules():
     assert after.decos[1].rel == REL_NONE
 
 
-def test_rewrite_once_twin_merge():
+def test_step_twin_merge():
     tree = DecoratedTree(
         (-1, 0, 0),
         (
@@ -199,7 +200,7 @@ def test_rewrite_once_twin_merge():
     assert merged.parents == (-1, 0, 0, 2, 2) and merged.decos[1] == Decoration(BLACK, REL_NONE, -1)
 
 
-def test_rewrite_once_no_rule():
+def test_step_no_rule():
     """Trees without a generic rewrite: a good tree takes a long-star step, a
     single vertex its closed form; both steps are locally sound."""
     good = long_star_tree(1, 1, 0, REL_LE, 0)
@@ -264,6 +265,22 @@ def test_generic_rules_locally_sound():
             ),
         ),
     ]
+    # inequality shifts up to +-5 peel to zero in one rewrite, at the root
+    # and below it (where the parent compensates every changed shift)
+    for color in (WHITE, BLACK, GRAY):
+        for rel in (REL_GE, REL_LE):
+            for k in (-5, -2, 2, 5):
+                crafted.append(DecoratedTree((-1,), (Decoration(color, rel, k),)))
+                crafted.append(
+                    DecoratedTree(
+                        (-1, 0, 1),
+                        (
+                            Decoration(WHITE, REL_EQ, 1),
+                            Decoration(color, rel, k),
+                            Decoration(BLACK, REL_NONE, 0),
+                        ),
+                    )
+                )
     trees = crafted + [
         random_decorated_tree(rng, max_vertices=6, max_nongray=5) for _ in range(400)
     ]
@@ -323,12 +340,55 @@ def test_long_star_rules_locally_sound():
     assert LONG_STAR_RULES <= covered, LONG_STAR_RULES - covered
 
 
-def test_long_star_reduce_preconditions():
+def test_step_long_star_preconditions():
     """A relation-free center is no long star: the root factorizes instead."""
     free_center = long_star_tree(1, 0, 1, REL_NONE, 0)
     rule, site, expr = Engine().step(free_center)
     assert (rule, site) == ("factor-free-root", 0)
     assert brute_force_decorated(free_center, 8) == sumexpr_series(expr, 8)
+
+
+def _compositions(total, parts):
+    """All tuples of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _enumerated_eq_star(d, total):
+    """Sum over d nonnegative branch differences adding up to `total` of the
+    product of their two-vertex equality sums, by explicit enumeration."""
+    value = ZERO
+    if total < 0:
+        return value
+    for comp in _compositions(total, d):
+        term = ONE
+        for x in comp:
+            term = term * base_sum(REL_EQ, x)
+        value = value + term
+    return value
+
+
+def test_finite_enumeration_matches_compositions():
+    """Equality-rooted one-sided stars against the composition walk: gray
+    centers over d ge- or le-branches, white centers whose own variable r
+    adds Cat_r t^r toward the total."""
+    engine = Engine()
+    for d in range(1, 5):
+        for total in range(-3, 6):
+            gray = ("vstar-finite-enumeration", 0, [(_enumerated_eq_star(d, total), ())])
+            assert engine.step(long_star_tree(d, 0, 0, REL_EQ, total)) == gray
+            assert engine.step(long_star_tree(0, d, 0, REL_EQ, -total)) == gray
+            white = ZERO
+            for r in range(total + 1):
+                white = white + _enumerated_eq_star(d, total - r).mul_laurent(
+                    Laurent.t_power(r, catalan(r))
+                )
+            tree = long_star_tree(d, 0, 0, REL_EQ, total, center_color=WHITE)
+            assert engine.step(tree) == ("ustar-finite-enumeration", 0, [(white, ())])
 
 
 def test_long_star_examples(shared_engine):
@@ -363,7 +423,7 @@ def test_long_star_solve_small_systems():
 
 def test_tridiagonal_solver_exact():
     assert tridiagonal_determinant(5) == 6
-    for n in range(1, 7):
+    for n in range(1, 13):
         inv = tridiagonal_inverse(n)
         # check M * inv = I
         for r in range(n):
@@ -468,6 +528,25 @@ def test_memo_reuse_and_determinism():
     assert engine.reduce(tree) == first
     assert engine.cycles == cycles_after_first  # memo hit, no extra work
     assert canonical_key(tree) in engine.memo
+
+
+def test_large_shifts_peel_in_one_rewrite():
+    """A shift of 1500 peels to zero in one rewrite, so the reduction stays
+    shallow under the default recursion limit and matches the oracle."""
+    leaf_shift = DecoratedTree(
+        (-1, 0), (Decoration(WHITE, REL_EQ, 0), Decoration(WHITE, REL_GE, 1500))
+    )
+    gray_middle = DecoratedTree(
+        (-1, 0, 1),
+        (
+            Decoration(WHITE, REL_GE, 0),
+            Decoration(GRAY, REL_LE, -1500),
+            Decoration(WHITE, REL_NONE, 0),
+        ),
+    )
+    for tree in (leaf_shift, gray_middle):
+        value = Engine().reduce(tree)
+        assert series_expand(value, 8) == brute_force_decorated(tree, 8)
 
 
 def test_depth_guard():
