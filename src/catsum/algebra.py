@@ -679,6 +679,8 @@ class PiPoly:
         return PiPoly({d: v * q for d, v in self.coeffs.items()} if q else None)
 
     def __pow__(self, n: int) -> "PiPoly":
+        if n < 0:
+            raise ValueError("negative powers are not defined in the algebra")
         result = PiPoly.const(1)
         for _ in range(n):
             result = result * self

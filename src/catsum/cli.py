@@ -50,12 +50,10 @@ from .trees import (
 )
 
 PARSE_ERROR, MISMATCH, OK = 2, 1, 0
-
-
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+# The errors `main` reports as `error: ...` (or {"error", "kind"} under
+# --json): an exhausted budget exits MISMATCH, bad input PARSE_ERROR.
+_INPUT_ERRORS = (TreeSyntaxError, TreeSchemaError, MeanderError, FileNotFoundError, ValueError)
+_BUDGET_ERRORS = (BudgetExceededError, DepthGuardExceeded)
 
 
 def _oracle_budget() -> int:
@@ -300,18 +298,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TreeSyntaxError, TreeSchemaError, MeanderError, FileNotFoundError, ValueError) as exc:
+    except _INPUT_ERRORS + _BUDGET_ERRORS as exc:
         if args.json:
             print(json.dumps({"error": str(exc), "kind": type(exc).__name__}))
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    except (BudgetExceededError, DepthGuardExceeded) as exc:
-        if args.json:
-            print(json.dumps({"error": str(exc), "kind": type(exc).__name__}))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return MISMATCH
+        return MISMATCH if isinstance(exc, _BUDGET_ERRORS) else PARSE_ERROR
 
 
 if __name__ == "__main__":

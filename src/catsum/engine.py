@@ -10,16 +10,19 @@ repeatedly rewriting it into combinations of strictly simpler trees:
      normalizes the tree into the "good" class;
   3. good trees of height 1 are the two-vertex base sums;
   4. taller good trees are attacked at a height-2 fringe, which is always
-     a long star; the star relations, a tridiagonal linear system and, for
-     equality-decorated roots, a finite enumeration finish the job.
+     a long star; the star relations, a tridiagonal linear system (one
+     rewrite into its right-hand-side stars) and, for equality-decorated
+     roots, a finite enumeration finish the job.
 
 Every rewrite identity used here is an exact equality of formal sums, so
 the result is the exact normal form of S(T).  `Engine.step` is the single
 rewrite entry point: it picks the first applicable step of that priority
-list and returns it as (rule, site, expression); `Engine.reduce` applies it
-recursively.  Reductions are memoized on the sibling-order-invariant
-canonical key.  Black-centered stars are routed through the global color
-swap and the white-center code path.
+list and returns it as (rule, site, expression), and reduces nothing
+itself.  `Engine.reduce` is one loop over an explicit stack of those
+expressions; it owns the memo, the cycle budget, the revisit check and the
+trace.  Reductions are memoized on the sibling-order-invariant canonical
+key.  Black-centered stars are routed through the global color swap and
+the white-center code path.
 """
 
 from __future__ import annotations
@@ -79,9 +82,10 @@ class DepthGuardExceeded(RuntimeError):
     """The reduction used up its cycle budget (`Engine.max_cycles`) or
     revisited a tree already on the reduction stack.  The stack is tracked
     per canonical key, and a revisit is a tree equal, vertex for vertex, to
-    one on the stack under the same key.  Large trees can exhaust the
-    default budget: the canonically decorated path on 32 vertices needs
-    more than 10^5 reduction cycles."""
+    one on the stack under the same key.  The stack is the driver's own, not
+    Python's, so deep trees end here and never in a RecursionError.  Large
+    trees can exhaust the default budget: the canonically decorated path on
+    32 vertices needs more than 10^5 reduction cycles."""
 
 
 def _holds(lhs: int, rel: str, rhs: int) -> bool:
@@ -192,7 +196,8 @@ class Engine:
 
     An instance owns a mutable memo cache and cycle counter, so it is a
     single-owner object; distinct instances are fully independent and the
-    rule functions themselves are pure.
+    rule functions themselves are pure.  `cycles` counts the trees that
+    `reduce` rewrote with `step`, over all calls; a memo hit costs none.
     """
 
     def __init__(self, memoize: bool = True, max_cycles: int = 10**5, trace=None):
@@ -201,49 +206,59 @@ class Engine:
         self.trace = trace
         self.memo: dict[bytes, AlgebraElement] = {}
         self.cycles = 0
-        # The trees on the reduction stack, by canonical key.  Cycle detection
-        # compares exact indexed trees: a color-symmetric tree shares its
-        # canonical key with its own color swap, which the driver may
-        # legitimately visit while the original is on the stack.
-        self._in_progress: dict[bytes, list[DecoratedTree]] = {}
 
     # -- public entry points ----------------------------------------------
 
     def reduce(self, tree: DecoratedTree) -> AlgebraElement:
-        key = canonical_key(tree)
-        if self.memoize and key in self.memo:
-            return self.memo[key]
-        on_stack = self._in_progress.get(key)
-        if on_stack is not None and tree in on_stack:
-            raise DepthGuardExceeded("reduction revisited a tree already on the stack")
-        self.cycles += 1
-        if self.cycles > self.max_cycles:
-            raise DepthGuardExceeded(f"more than {self.max_cycles} driver cycles")
-        if on_stack is None:
-            on_stack = self._in_progress[key] = []
-        on_stack.append(tree)
-        try:
-            rule, site, expr = self.step(tree)
-            if self.trace is not None:
-                self.trace(f"RULE {rule} AT {site} -> {len(expr)} subproblems")
+        memo, memoize = self.memo, self.memoize
+        # The trees on the reduction stack, by canonical key.  Cycle detection
+        # compares exact indexed trees: a color-symmetric tree shares its
+        # canonical key with its own color swap, which the driver may
+        # legitimately visit while the original is on the stack.
+        on_stack: dict[bytes, list[DecoratedTree]] = {}
+        # One frame per tree being rewritten: its key, its SumExpr, the factors
+        # still to reduce (last first) and the values of those already
+        # reduced.  The bottom frame holds just `tree` as its one factor.
+        frames = [(b"", [], [tree], [])]
+        while True:
+            key, expr, todo, values = frames[-1]
+            if todo:
+                tree = todo.pop()
+                key = canonical_key(tree)
+                if memoize and key in memo:
+                    values.append(memo[key])
+                    continue
+                trees = on_stack.setdefault(key, [])
+                if tree in trees:
+                    raise DepthGuardExceeded("reduction revisited a tree already on the stack")
+                self.cycles += 1
+                if self.cycles > self.max_cycles:
+                    raise DepthGuardExceeded(f"more than {self.max_cycles} driver cycles")
+                trees.append(tree)
+                rule, site, expr = self.step(tree)
+                if self.trace is not None:
+                    self.trace(f"RULE {rule} AT {site} -> {len(expr)} subproblems")
+                todo = [f for _, factors in reversed(expr) for f in reversed(factors)]
+                frames.append((key, expr, todo, []))
+                continue
+            frames.pop()
+            if not frames:
+                return values[0]
             total = ZERO
+            reduced = iter(values)
             for coeff, factors in expr:
                 term = coeff
-                for factor in factors:
-                    term = term * self.reduce(factor)
+                for _ in factors:
+                    term = term * next(reduced)
                 total = total + term
-        finally:
-            on_stack.pop()
-            if not on_stack:
-                del self._in_progress[key]
-        if self.memoize:
-            self.memo[key] = total
-        return total
+            on_stack[key].pop()
+            if memoize:
+                memo[key] = total
+            frames[-1][3].append(total)
 
     def step(self, tree: DecoratedTree) -> tuple[str, int, SumExpr]:
         """The highest-priority rewrite of `tree` as (rule, site, expr): `expr`
-        is a SumExpr whose value is S(tree).  The linear-system step reduces
-        the stars it needs through this engine."""
+        is a SumExpr whose value is S(tree)."""
         if tree.height == 0:
             return "height-zero", 0, [(height_zero_sum(tree.decos[0]), ())]
         found = self._find_generic_rewrite(tree)
@@ -269,38 +284,6 @@ class Engine:
             pulled = with_pulled_down_variable(tree, v, pattern.extra_leaf)
             return "pull-down-center-variable", v, [(ONE, (pulled,))]
         return self._long_star_step(tree, v, pattern)
-
-    def long_star_solve(self, tree: DecoratedTree, v: int, d: int) -> list[AlgebraElement]:
-        """Solve the (d-1)x(d-1) tridiagonal system (2 on the diagonal, 1 beside
-        it) for the mixed gray stars V_{r,d-r,0}, r = 1..d-1, grafted at v;
-        returns the solution list."""
-        deco = tree.decos[v]
-
-        def graft(i: int, j: int, k: int) -> DecoratedTree:
-            return with_replaced_fringe(tree, v, Decoration(GRAY, deco.rel, deco.shift), (i, j, k))
-
-        s0 = base_sum(REL_EQ, 0)
-        s0_sq = s0 * s0
-        rhs = []
-        for r in range(1, d):
-            x = (
-                self.reduce(graft(r - 1, d - 1 - r, 2))
-                + self.reduce(graft(r - 1, d - 1 - r, 1)) * s0.scale(2)
-                + self.reduce(graft(r - 1, d - 1 - r, 0)) * s0_sq
-            )
-            rhs.append(x)
-        rhs[0] = rhs[0] - self.reduce(graft(0, d, 0))
-        rhs[-1] = rhs[-1] - self.reduce(graft(d, 0, 0))
-        solution = []
-        for row in tridiagonal_inverse(d - 1):
-            acc = ZERO
-            for x, entry in zip(rhs, row):
-                acc = acc + x.scale(entry)
-            solution.append(acc)
-        if self.memoize:
-            for r in range(1, d):
-                self.memo[canonical_key(graft(r, d - r, 0))] = solution[r - 1]
-        return solution
 
     # -- driver --------------------------------------------------------------
 
@@ -475,8 +458,23 @@ class Engine:
                 ],
             )
         if i > 0 and j > 0:
-            solution = self.long_star_solve(tree, v, i + j)
-            return "vstar-linear-system", v, [(solution[i - 1], ())]
+            # The mixed stars V_{r,d-r,0}, r = 1..d-1, solve a tridiagonal
+            # system (2 on the diagonal, 1 beside it) whose right-hand sides
+            # are stars with fewer ge/le branches and the one-sided V_{0,d,0},
+            # V_{d,0,0}: this star is row i of its inverse applied to them.
+            d = i + j
+            row = tridiagonal_inverse(d - 1)[i - 1]
+            s0_sq = s0 * s0
+            expr = []
+            for r, entry in enumerate(row, 1):
+                expr += [
+                    (ONE.scale(entry), (graft(GRAY, rel, k_shift, r - 1, d - 1 - r, 2),)),
+                    (s0.scale(2 * entry), (graft(GRAY, rel, k_shift, r - 1, d - 1 - r, 1),)),
+                    (s0_sq.scale(entry), (graft(GRAY, rel, k_shift, r - 1, d - 1 - r, 0),)),
+                ]
+            expr.append((ONE.scale(-row[0]), (graft(GRAY, rel, k_shift, 0, d, 0),)))
+            expr.append((ONE.scale(-row[d - 2]), (graft(GRAY, rel, k_shift, d, 0, 0),)))
+            return "vstar-linear-system", v, expr
         return self._one_sided_star_step(tree, v, i + j, lowered=j > 0)
 
     def _one_sided_star_step(self, tree: DecoratedTree, v: int, d: int, lowered: bool):

@@ -116,6 +116,8 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs[-k:], self.order + k)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
+        if n < 0:
+            raise ValueError("negative powers of a truncated series are not defined")
         result = TruncatedSeries.one(self.order)
         for _ in range(n):
             result = result * self

@@ -300,7 +300,7 @@ def parse_decorated(data) -> DecoratedTree:
             shift = entry["k"]
         except KeyError as exc:
             raise TreeSchemaError(f"vertex {i} is missing field {exc}") from exc
-        if not isinstance(parent, int):
+        if not isinstance(parent, int) or isinstance(parent, bool):
             raise TreeSchemaError(f"vertex {i}: parent must be an integer")
         if i == 0:
             if parent != -1:

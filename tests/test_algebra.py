@@ -341,6 +341,10 @@ def test_division():
         H1 / (H1 + ONE)
     with pytest.raises(ZeroDivisionError):
         H1 / 0
+    # negative powers are undefined for algebra elements and 1/pi polynomials alike
+    for x in (H1, PiPoly({1: 2})):
+        with pytest.raises(ValueError, match="negative powers"):
+            x ** -1
 
 
 def test_catalan_gf_series_and_value():

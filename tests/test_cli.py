@@ -161,14 +161,17 @@ def test_cycle_budget_exhausted_is_a_typed_error(monkeypatch, capsys):
     import catsum.cli
     from catsum.engine import Engine
 
-    monkeypatch.setattr(catsum.cli, "Engine", functools.partial(Engine, max_cycles=5))
-    code, out, _ = run(capsys, "--json", "sum", "((()())(()())())")
-    assert code == 1
-    blob = json.loads(out)
-    assert blob["kind"] == "DepthGuardExceeded" and "driver cycles" in blob["error"]
-    code, out, err = run(capsys, "sum", "((()())(()())())")
-    assert code == 1 and not out
-    assert err.startswith("error: ") and "driver cycles" in err
+    # a 7-vertex tree, and the 400-vertex path deeper than the recursion limit
+    path_400 = "(" + "(" * 200 + ")" * 200 + "(" * 199 + ")" * 199 + ")"
+    for tree, max_cycles in (("((()())(()())())", 5), (path_400, 2000)):
+        monkeypatch.setattr(catsum.cli, "Engine", functools.partial(Engine, max_cycles=max_cycles))
+        code, out, _ = run(capsys, "--json", "sum", tree)
+        assert code == 1
+        blob = json.loads(out)
+        assert blob["kind"] == "DepthGuardExceeded" and "driver cycles" in blob["error"]
+        code, out, err = run(capsys, "sum", tree)
+        assert code == 1 and not out
+        assert err.startswith("error: ") and "driver cycles" in err
 
 
 def test_trace_goes_to_stderr(capsys):

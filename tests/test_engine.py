@@ -1,6 +1,7 @@
 """The reduction engine: base cases, rewrite rules, long stars, soundness."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from catsum.trees import (
     DecoratedTree,
     canonical_decorate,
     canonical_key,
+    centroid_rooted,
     parse_plain,
 )
 
@@ -406,19 +408,18 @@ def test_long_star_examples(shared_engine):
 
 
 def test_long_star_solve_small_systems():
-    engine = Engine()
-    tree = long_star_tree(1, 1, 0, REL_LE, 0)
-    solution = engine.long_star_solve(tree, 0, 2)
-    assert len(solution) == 1
-    assert series_expand(solution[0], 8) == brute_force_decorated(tree, 8)
-
-    tree3 = long_star_tree(2, 1, 0, REL_EQ, 0)
-    solution = engine.long_star_solve(tree3, 0, 3)
-    assert len(solution) == 2
-    assert series_expand(solution[1], 8) == brute_force_decorated(tree3, 8)
-    assert series_expand(solution[0], 8) == brute_force_decorated(
-        long_star_tree(1, 2, 0, REL_EQ, 0), 8
-    )
+    """The linear-system step rewrites a mixed gray star into the stars on
+    the right-hand side of its tridiagonal system, in one step."""
+    for tree in (
+        long_star_tree(1, 1, 0, REL_LE, 0),
+        long_star_tree(2, 1, 0, REL_EQ, 0),
+        long_star_tree(1, 2, 0, REL_EQ, 0),
+    ):
+        rule, site, expr = Engine().step(tree)
+        assert (rule, site) == ("vstar-linear-system", 0)
+        oracle = brute_force_decorated(tree, 8)
+        assert sumexpr_series(expr, 8) == oracle
+        assert series_expand(Engine().reduce(tree), 8) == oracle
 
 
 def test_tridiagonal_solver_exact():
@@ -557,15 +558,31 @@ def test_depth_guard():
 
 def test_engine_recovers_after_cycle_budget():
     """A budget failure leaves no tree marked as in progress: the same
-    engine, given a larger budget, then reduces the tree correctly."""
+    engine, given a larger budget, then reduces the tree correctly, and
+    reduces it again from the memo, or without one in as many cycles."""
     tree = canonical_decorate(parse_plain("((())(())())"))
-    engine = Engine(max_cycles=5)
+    for memoize in (True, False):
+        engine = Engine(memoize=memoize, max_cycles=5)
+        with pytest.raises(DepthGuardExceeded, match="driver cycles"):
+            engine.reduce(tree)
+        assert engine.cycles == 6
+        engine.max_cycles = 10**5
+        value = engine.reduce(tree)
+        assert series_expand(value, 8) == brute_force_decorated(tree, 8)
+        cycles = engine.cycles - 6
+        assert engine.reduce(tree) == value
+        assert engine.cycles == 6 + cycles + (0 if memoize else cycles)
+
+
+def test_deep_path_needs_no_recursion():
+    """The driver keeps its own stack: on the canonically decorated
+    400-vertex path the cycle budget runs out, under the default recursion
+    limit, before any recursion limit could."""
+    limit = sys.getrecursionlimit()
+    tree = canonical_decorate(centroid_rooted(parse_plain("(" * 400 + ")" * 400)))
     with pytest.raises(DepthGuardExceeded, match="driver cycles"):
-        engine.reduce(tree)
-    assert not engine._in_progress
-    engine.max_cycles = 10**5
-    assert series_expand(engine.reduce(tree), 8) == brute_force_decorated(tree, 8)
-    assert not engine._in_progress
+        Engine(max_cycles=2000).reduce(tree)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_revisit_guard():
@@ -581,7 +598,9 @@ def test_revisit_guard():
     with pytest.raises(DepthGuardExceeded, match="revisited a tree already on the stack"):
         engine.reduce(tree)
     assert engine.cycles == 1
-    assert not engine._in_progress
+    with pytest.raises(DepthGuardExceeded, match="revisited a tree already on the stack"):
+        engine.reduce(tree)
+    assert engine.cycles == 2
 
 
 def test_color_symmetric_tree_survives_swap():

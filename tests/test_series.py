@@ -146,6 +146,8 @@ def test_catalan_power_identity():
         power = generator_series("C", 12) ** s
         for n in range(13):
             assert power.coeffs[n] == catalan_power_coeff(s, n), (s, n)
+    with pytest.raises(ValueError, match="negative powers"):
+        TruncatedSeries([1, 2, 3]) ** -2
 
 
 def test_budget_guard():

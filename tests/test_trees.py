@@ -283,6 +283,11 @@ def test_parse_decorated():
     bad = {"vertices": [{"parent": -1, "color": "white", "rel": "between", "k": 0}]}
     with pytest.raises(TreeSchemaError):
         parse_decorated(json.dumps(bad))
+    # JSON booleans are not parent indices, though Python reads them as 0 and 1
+    for parents in ([-1, False], [-1, 0, True]):
+        bad = {"vertices": [{"parent": p, "color": "white", "rel": "none", "k": 0} for p in parents]}
+        with pytest.raises(TreeSchemaError, match="parent must be an integer"):
+            parse_decorated(json.dumps(bad))
 
 
 def test_decorated_json_roundtrip():
