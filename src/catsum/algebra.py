@@ -27,8 +27,11 @@ coefficient instead of convolving.
 
 Evaluation at t = 1/4 sends s -> 0, H1 -> 4/pi, H2 -> 8/(3 pi) and every
 Laurent coefficient to its exact rational value, landing in Q[1/pi]
-(`PiPoly`).  No floating point is used anywhere in this module, which
-needs only the standard library.
+(`PiPoly`).  A `PiPoly` holds one `Laurent` in the variable 1/pi, so
+`Laurent` is the only sparse polynomial arithmetic over Q here, and one
+term renderer (`_term`, `_joined`) prints `Laurent`, `AlgebraElement` and
+truncated series alike.  No floating point is used anywhere in this
+module, which needs only the standard library.
 
 All values are immutable once constructed and every operation is pure, so
 elements can be shared freely between threads.
@@ -47,6 +50,23 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _term(v: Fraction, e: int, gens: str = "") -> str:
+    """The term v * t^e * gens, with a coefficient of 1 or -1 written as its sign."""
+    t = "" if e == 0 else "t" if e == 1 else f"t^{e}"
+    mono = f"{t}*{gens}" if t and gens else t or gens
+    if not mono:
+        return str(v)
+    if v == 1:
+        return mono
+    return "-" + mono if v == -1 else f"{v}*{mono}"
+
+
+def _joined(terms) -> str:
+    """Terms joined by " + ", or by " - " before a term with a leading minus;
+    "0" for no terms.  No term contains a space, so only joints are rewritten."""
+    return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
 def _stored(nums: dict[int, int], den: int) -> "Laurent":
@@ -203,24 +223,7 @@ class Laurent:
         return Fraction(num, den)
 
     def __str__(self):
-        if not self.nums:
-            return "0"
-        parts = []
-        for k, v in sorted(self.terms.items(), reverse=True):
-            mono = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            if k == 0:
-                term = str(v)
-            elif v == 1:
-                term = mono
-            elif v == -1:
-                term = f"-{mono}"
-            else:
-                term = f"{v}*{mono}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return _joined(_term(v, k) for k, v in sorted(self.terms.items(), reverse=True))
 
     __repr__ = __str__
 
@@ -472,12 +475,7 @@ class AlgebraElement:
                 continue  # s(1/4) = 0
             value = coeff.eval_at(QUARTER)
             value = Fraction(value.numerator * 4**a * 8**b, value.denominator * 3**b)
-            d = a + b
-            w = out.get(d, Fraction(0)) + value
-            if w:
-                out[d] = w
-            else:
-                out.pop(d, None)
+            out[a + b] = out.get(a + b, 0) + value
         return PiPoly(out)
 
     # -- rendering -------------------------------------------------------
@@ -487,8 +485,6 @@ class AlgebraElement:
 
     def __str__(self):
         """Canonical flat rendering, decreasing (a,b,c) then decreasing exponent."""
-        if not self.terms:
-            return "0"
         parts = []
         for key in self._sorted_keys():
             a, b, c = key
@@ -498,23 +494,8 @@ class AlgebraElement:
                 + (["s"] if c else [])
             )
             for e, v in sorted(self.terms[key].terms.items(), reverse=True):
-                factors = []
-                if v == -1 and (e != 0 or gens):
-                    sign = "-"
-                elif v != 1 or (e == 0 and not gens):
-                    sign = ""
-                    factors.append(str(v))
-                else:
-                    sign = ""
-                if e:
-                    factors.append("t" if e == 1 else f"t^{e}")
-                if gens:
-                    factors.append(gens)
-                parts.append(sign + "*".join(factors))
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+                parts.append(_term(v, e, gens))
+        return _joined(parts)
 
     __repr__ = __str__
 
@@ -613,70 +594,62 @@ def _truncated(value: Fraction, digits: int) -> str:
     return f"{sign}{int_part}.{frac_part:0{digits}d}"
 
 
-class PiPoly:
-    """Polynomial in the formal symbol 1/pi with exact rational coefficients."""
+def _pipoly(poly: Laurent) -> "PiPoly":
+    """A PiPoly around a Laurent polynomial with no negative exponent."""
+    res = PiPoly.__new__(PiPoly)
+    res.poly = poly
+    return res
 
-    __slots__ = ("coeffs",)
+
+class PiPoly:
+    """Polynomial in the formal symbol 1/pi with exact rational coefficients.
+
+    `poly` is a `Laurent` polynomial in the variable 1/pi with no negative
+    exponent, so arithmetic, equality and hashing are those of `Laurent`.
+    `coeffs` is the read-only {degree: Fraction} view.
+    """
+
+    __slots__ = ("poly",)
 
     def __init__(self, coeffs=None):
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for d, v in coeffs.items():
-                d = int(d)
-                if d < 0:
-                    raise ValueError("negative 1/pi exponent")
-                v = _frac(v)
-                if v:
-                    clean[d] = v
-        self.coeffs = clean
+        if coeffs and min(map(int, coeffs)) < 0:
+            raise ValueError("negative 1/pi exponent")
+        self.poly = Laurent(coeffs)
 
     @classmethod
     def const(cls, q) -> "PiPoly":
         return cls({0: _frac(q)})
 
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        return self.poly.terms
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.poly.is_zero()
 
     def degree(self):
-        return max(self.coeffs) if self.coeffs else None
+        return None if self.poly.is_zero() else self.poly.max_exp()
 
     def __eq__(self, other):
-        return isinstance(other, PiPoly) and self.coeffs == other.coeffs
+        return isinstance(other, PiPoly) and self.poly == other.poly
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash(self.poly)
 
     def __add__(self, other: "PiPoly") -> "PiPoly":
-        out = dict(self.coeffs)
-        for d, v in other.coeffs.items():
-            w = out.get(d, Fraction(0)) + v
-            if w:
-                out[d] = w
-            else:
-                out.pop(d, None)
-        return PiPoly(out)
+        return _pipoly(self.poly + other.poly)
 
     def __neg__(self) -> "PiPoly":
-        return PiPoly({d: -v for d, v in self.coeffs.items()})
+        return _pipoly(-self.poly)
 
     def __sub__(self, other: "PiPoly") -> "PiPoly":
-        return self + (-other)
+        return _pipoly(self.poly - other.poly)
 
     def __mul__(self, other: "PiPoly") -> "PiPoly":
-        out: dict[int, Fraction] = {}
-        for d1, v1 in self.coeffs.items():
-            for d2, v2 in other.coeffs.items():
-                d = d1 + d2
-                w = out.get(d, Fraction(0)) + v1 * v2
-                if w:
-                    out[d] = w
-                else:
-                    out.pop(d, None)
-        return PiPoly(out)
+        return _pipoly(self.poly * other.poly)
 
     def scale(self, q) -> "PiPoly":
-        q = _frac(q)
-        return PiPoly({d: v * q for d, v in self.coeffs.items()} if q else None)
+        return _pipoly(self.poly.scale(q))
 
     def __pow__(self, n: int) -> "PiPoly":
         if n < 0:
@@ -688,46 +661,26 @@ class PiPoly:
 
     def __str__(self):
         """Canonical ascending rendering: c0 + c1*pi^-1 + c2*pi^-2 + ..."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d in sorted(self.coeffs):
-            v = self.coeffs[d]
-            parts.append(str(v) if d == 0 else f"{v}*pi^-{d}")
-        return " + ".join(parts)
+        terms = (str(v) if d == 0 else f"{v}*pi^-{d}" for d, v in sorted(self.coeffs.items()))
+        return " + ".join(terms) or "0"
 
     __repr__ = __str__
 
     def pretty(self) -> str:
         """Human form, highest 1/pi power first, e.g. `16/pi - 4`."""
-        if not self.coeffs:
-            return "0"
         parts = []
-        for d in sorted(self.coeffs, reverse=True):
-            v = self.coeffs[d]
-            sign = "-" if v < 0 else "+"
-            v = abs(v)
+        for d, v in sorted(self.coeffs.items(), reverse=True):
             if d == 0:
-                body = str(v)
-            else:
-                pi_part = "pi" if d == 1 else f"pi^{d}"
-                if v.denominator == 1:
-                    body = f"{v.numerator}/{pi_part}"
-                else:
-                    body = f"{v.numerator}/({v.denominator}*{pi_part})"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+                parts.append(str(v))
+                continue
+            pi_part = "pi" if d == 1 else f"pi^{d}"
+            den = pi_part if v.denominator == 1 else f"({v.denominator}*{pi_part})"
+            parts.append(f"{v.numerator}/{den}")
+        return _joined(parts)
 
     def to_fraction(self) -> Fraction:
         """Approximate rational value using the 100-digit pi constant (display only)."""
-        return sum(
-            (v / _PI_FRACTION**d for d, v in self.coeffs.items()),
-            Fraction(0),
-        )
+        return self.poly.eval_at(1 / _PI_FRACTION)
 
     def to_decimal(self, digits: int = 12) -> str:
         """Truncated decimal expansion with `digits` places after the point.
@@ -752,4 +705,4 @@ class PiPoly:
         return text
 
     def to_json(self):
-        return [[d, str(self.coeffs[d])] for d in sorted(self.coeffs, reverse=True)]
+        return [[d, str(v)] for d, v in sorted(self.coeffs.items(), reverse=True)]

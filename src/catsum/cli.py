@@ -52,7 +52,7 @@ from .trees import (
 PARSE_ERROR, MISMATCH, OK = 2, 1, 0
 # The errors `main` reports as `error: ...` (or {"error", "kind"} under
 # --json): an exhausted budget exits MISMATCH, bad input PARSE_ERROR.
-_INPUT_ERRORS = (TreeSyntaxError, TreeSchemaError, MeanderError, FileNotFoundError, ValueError)
+_INPUT_ERRORS = (TreeSyntaxError, TreeSchemaError, MeanderError, OSError, ValueError)
 _BUDGET_ERRORS = (BudgetExceededError, DepthGuardExceeded)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, _joined, _term
 from .trees import GRAY, DecoratedTree, PlainTree, REL_NONE
 
 DEFAULT_BUDGET = 10**8
@@ -124,25 +124,7 @@ class TruncatedSeries:
         return result
 
     def __str__(self):
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mono = "1" if n == 0 else ("t" if n == 1 else f"t^{n}")
-            if n == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return _joined(_term(c, n) for n, c in enumerate(self.coeffs) if c)
 
     __repr__ = __str__
 
@@ -194,6 +176,8 @@ def series_expand(x: AlgebraElement, order: int) -> TruncatedSeries:
 
     Raises NegativePowerResidue if a genuinely negative power survives.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     shift = max((0,) + tuple(-p.min_exp() for p in x.terms.values()))
     work = order + shift
     gens = {name: generator_series(name, work) for name in ("H1", "H2", "s")}

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 
 WHITE, GRAY, BLACK = 1, 0, -1
 
@@ -140,13 +139,6 @@ class DecoratedTree:
         return _children_of(self.parents)
 
     @_lazy
-    def depths(self) -> tuple[int, ...]:
-        out = [0] * len(self.parents)
-        for v in range(1, len(self.parents)):
-            out[v] = out[self.parents[v]] + 1
-        return tuple(out)
-
-    @_lazy
     def fringe_heights(self) -> tuple[int, ...]:
         """For each vertex, the height of its fringe subtree."""
         parents = self.parents
@@ -160,11 +152,6 @@ class DecoratedTree:
     @_lazy
     def height(self) -> int:
         return self.fringe_heights[0]
-
-    @_lazy
-    def path_length(self) -> int:
-        """Total path length: sum over vertices of the distance to the root."""
-        return sum(self.depths)
 
     @_lazy
     def nongray_count(self) -> int:
@@ -665,31 +652,6 @@ def classify_fringe(tree: DecoratedTree, v: int) -> LongStarPattern:
 # ---------------------------------------------------------------------------
 
 
-def _pruefer_to_parents(seq: tuple[int, ...], n: int) -> list[list[int]]:
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    adj: list[list[int]] = [[] for _ in range(n)]
-    leaves = sorted(v for v in range(n) if degree[v] == 1)
-    seq_list = list(seq)
-    import heapq
-
-    heap = leaves[:]
-    heapq.heapify(heap)
-    for x in seq_list:
-        leaf = heapq.heappop(heap)
-        adj[leaf].append(x)
-        adj[x].append(leaf)
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(heap, x)
-    u = heapq.heappop(heap)
-    w = heapq.heappop(heap)
-    adj[u].append(w)
-    adj[w].append(u)
-    return adj
-
-
 def _canonical_children(adj: list[list[int]], root: int) -> tuple[list, str]:
     """For the tree spanned by the adjacency lists from `root`: each vertex's
     children sorted by the sibling-order-invariant encoding of their subtrees
@@ -716,9 +678,15 @@ def _canonical_children(adj: list[list[int]], root: int) -> tuple[list, str]:
     return kids_of, enc[root]
 
 
-def _rooted_encoding(adj: list[list[int]], root: int) -> str:
-    """Sibling-order-invariant encoding of the tree rooted at `root`."""
-    return _canonical_children(adj, root)[1]
+def _canonical_centroid(adj: list[list[int]]) -> tuple[str, int, list]:
+    """The free tree's canonical centroid, the one whose rooted encoding is
+    least: (that encoding, the centroid, its canonical children lists)."""
+    best = None
+    for root in _centroids(adj, len(adj)):
+        kids_of, enc = _canonical_children(adj, root)
+        if best is None or enc < best[0]:
+            best = (enc, root, kids_of)
+    return best
 
 
 def _centroids(adj: list[list[int]], n: int) -> list[int]:
@@ -760,41 +728,42 @@ def _adjacency(tree: PlainTree) -> list[list[int]]:
 
 
 def plain_from_adjacency(
-    adj: list[list[int]], root: int, half_edge: bool = False, canonical: bool = False
+    adj: list[list[int]], root: int, half_edge: bool = False, kids_of: list | None = None
 ) -> PlainTree:
     """The tree spanned by the adjacency lists from `root`, in preorder.
-    Children follow adjacency order, or canonical-encoding order when
-    `canonical` is set."""
-    kids_of = _canonical_children(adj, root)[0] if canonical else None
+    Children follow adjacency order, or the lists `kids_of` when given."""
     parents: list[int] = []
     stack = [(root, -1, -1)]  # (vertex, parent vertex, parent index)
     while stack:
         v, parent_vertex, parent_idx = stack.pop()
         idx = len(parents)
         parents.append(parent_idx)
-        kids = kids_of[v] if canonical else [c for c in adj[v] if c != parent_vertex]
+        kids = kids_of[v] if kids_of is not None else [c for c in adj[v] if c != parent_vertex]
         stack.extend((c, v, idx) for c in reversed(kids))
     return PlainTree(tuple(parents), half_edge)
 
 
 def enumerate_free_trees(n: int) -> list[PlainTree]:
     """All free trees on n vertices up to isomorphism, rooted at a canonical
-    centroid with children in canonical order."""
+    centroid with children in canonical order, sorted by their encoding.
+
+    The trees on n vertices are those on n - 1 with one leaf attached to
+    some vertex; each candidate is kept once per canonical encoding."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n == 1:
-        return [PlainTree((-1,))]
-    if n == 2:
-        return [PlainTree((-1, 0))]
-    seen: dict[str, PlainTree] = {}
-    for seq in product(range(n), repeat=n - 2):
-        adj = _pruefer_to_parents(seq, n)
-        cands = _centroids(adj, n)
-        best_root = min(cands, key=lambda r: _rooted_encoding(adj, r))
-        key = _rooted_encoding(adj, best_root)
-        if key not in seen:
-            seen[key] = plain_from_adjacency(adj, best_root, canonical=True)
-    return [seen[k] for k in sorted(seen)]
+    trees = [PlainTree((-1,))]
+    for size in range(2, n + 1):
+        grown: dict[str, PlainTree] = {}
+        for tree in trees:
+            for v in range(size - 1):
+                adj = _adjacency(tree)
+                adj[v].append(size - 1)
+                adj.append([v])
+                key, root, kids_of = _canonical_centroid(adj)
+                if key not in grown:
+                    grown[key] = plain_from_adjacency(adj, root, kids_of=kids_of)
+        trees = [grown[k] for k in sorted(grown)]
+    return trees
 
 
 def centroid_rooted(tree: PlainTree) -> PlainTree:
@@ -803,8 +772,8 @@ def centroid_rooted(tree: PlainTree) -> PlainTree:
     if tree.half_edge:
         raise ValueError("half-edge trees are rooted at the half-edge extremity")
     adj = _adjacency(tree)
-    best_root = min(_centroids(adj, len(tree)), key=lambda r: _rooted_encoding(adj, r))
-    return plain_from_adjacency(adj, best_root, canonical=True)
+    _, root, kids_of = _canonical_centroid(adj)
+    return plain_from_adjacency(adj, root, kids_of=kids_of)
 
 
 def reroot(tree: PlainTree, new_root: int, half_edge: bool = False) -> PlainTree:

@@ -5,9 +5,13 @@ explicitly tolerance-based checks in the star criterion (partial-sum gap
 below 1e-6 and the asymptotic ratio within 6%).
 """
 
+import ast
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import catsum
 from catsum.algebra import H1, H2, ONE, PiPoly, eval_quarter, gauss_value_hk, hypergeom_hk
 from catsum.algebra import Laurent
 from catsum.engine import Engine, base_sum
@@ -181,3 +185,21 @@ def test_criterion_10_edge_vs_vertex_oracles():
                     canonical_decorate(half), 10
                 ), (tree, root)
     print("ACCEPTANCE 10: PASS - edge and vertex oracles agree on all small trees")
+
+
+def test_north_star_no_eval_and_stdlib_only():
+    modules = sorted(Path(catsum.__file__).parent.glob("*.py"))
+    assert len(modules) >= 9
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("eval", "exec"), (path.name, node.lineno)
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+    print("NORTH STAR: PASS - no eval or exec, standard-library imports only")

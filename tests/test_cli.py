@@ -57,6 +57,21 @@ def test_parse_error_exit_2(capsys):
     assert json.loads(out)["kind"] == "TreeSyntaxError"
 
 
+def test_unreadable_tree_path_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "sum", str(tmp_path))
+    assert code == 2 and not out and err.startswith("error: ")
+    code, out, _ = run(capsys, "--json", "sum", str(tmp_path))
+    assert code == 2
+    assert json.loads(out)["kind"] == "IsADirectoryError"
+
+
+def test_negative_order_exit_2(capsys):
+    for verb in ("verify", "series"):
+        code, out, err = run(capsys, verb, "(())", "--order", "-3")
+        assert code == 2 and not out
+        assert err == "error: order must be nonnegative\n"
+
+
 def test_decorated_file_verbs(tmp_path, capsys):
     blob = {
         "vertices": [

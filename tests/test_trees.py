@@ -298,15 +298,19 @@ def test_decorated_json_roundtrip():
 
 
 def test_enumerate_free_trees_counts():
-    assert [len(enumerate_free_trees(n)) for n in range(1, 8)] == [1, 1, 1, 2, 3, 6, 11]
+    counts = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]  # OEIS A000055
+    assert [len(enumerate_free_trees(n)) for n in range(1, 13)] == counts
+
+
+def test_enumerate_free_trees_matches_pruefer_walk():
+    for n in range(1, 8):
+        assert enumerate_free_trees(n) == _reference_free_trees(n), n
 
 
 def test_derived_metrics():
     tree = canonical_decorate(parse_plain("((())())"))
     assert tree.height == 2
-    assert tree.path_length == 0 + 1 + 2 + 1
     assert tree.nongray_count == 4
-    assert tree.depths == (0, 1, 2, 1)
     assert tree.fringe_heights == (2, 1, 0, 0)
     assert tree.leaves == (2, 3)
     assert tree.children is tree.children  # computed once, then read from the instance
@@ -331,6 +335,47 @@ def _reference_key(tree: DecoratedTree) -> bytes:
         return head + b"".join(sorted(encode(c) for c in kids[v])) + b")"
 
     return encode(0)
+
+
+def _reference_pruefer_tree(seq, n):
+    """Adjacency lists of the labelled tree with Pruefer sequence `seq`."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    adj = [[] for _ in range(n)]
+    for x in seq:
+        leaf = min(v for v in range(n) if degree[v] == 1)
+        adj[leaf].append(x)
+        adj[x].append(leaf)
+        degree[leaf] -= 1
+        degree[x] -= 1
+    u, w = (v for v in range(n) if degree[v] == 1)
+    adj[u].append(w)
+    adj[w].append(u)
+    return adj
+
+
+def _reference_size(adj, v, parent):
+    return 1 + sum(_reference_size(adj, u, v) for u in adj[v] if u != parent)
+
+
+def _reference_encoding(adj, v, parent):
+    return "(" + "".join(sorted(_reference_encoding(adj, u, v) for u in adj[v] if u != parent)) + ")"
+
+
+def _reference_free_trees(n):
+    """Every labelled tree on n vertices, one per Pruefer sequence, keyed by
+    its least rooted encoding over its centroids (the vertices whose largest
+    remaining component is smallest); one tree per key, in key order."""
+    if n == 1:
+        return [PlainTree((-1,))]
+    keys = set()
+    for seq in itertools.product(range(n), repeat=n - 2):
+        adj = _reference_pruefer_tree(seq, n)
+        weight = [max(_reference_size(adj, u, v) for u in adj[v]) for v in range(n)]
+        centroids = [v for v in range(n) if weight[v] == min(weight)]
+        keys.add(min(_reference_encoding(adj, v, -1) for v in centroids))
+    return [parse_plain(key) for key in sorted(keys)]
 
 
 class _RefNode:
