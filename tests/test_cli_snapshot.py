@@ -1,0 +1,76 @@
+"""CLI output snapshot: exit code, stdout and stderr of each command, byte for byte.
+
+`data/cli_snapshot.json` holds the recorded outputs.  After a deliberate
+change of output, record them again with
+
+    PYTHONPATH=src python tests/test_cli_snapshot.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from catsum.cli import main
+from catsum.meanders import enumerate_meanders
+from catsum.table_data import LINE_EXAMPLE_8, TABLE
+
+SNAPSHOT = Path(__file__).parent / "data" / "cli_snapshot.json"
+
+# README's decorated tree, and one with negative shifts and a gray vertex.
+README_TREE = {
+    "vertices": [
+        {"parent": -1, "color": "white", "rel": "eq", "k": 0},
+        {"parent": 0, "color": "black", "rel": "none", "k": 0},
+    ]
+}
+NEGATIVE_SHIFT_TREE = {
+    "vertices": [
+        {"parent": -1, "color": "white", "rel": "ge", "k": -2},
+        {"parent": 0, "color": "gray", "rel": "le", "k": -1},
+        {"parent": 1, "color": "black", "rel": "none", "k": 0},
+        {"parent": 0, "color": "black", "rel": "eq", "k": -1},
+        {"parent": 3, "color": "white", "rel": "none", "k": 0},
+    ]
+}
+
+
+def _arcs(matching) -> str:
+    return ", ".join(f"{a}-{b}" for a, b in matching)
+
+
+def cases() -> list[list[str]]:
+    golden = [entry.tree_text for entry in TABLE + [LINE_EXAMPLE_8]]
+    checked = golden[::3] + [json.dumps(README_TREE), json.dumps(NEGATIVE_SHIFT_TREE)]
+    out = [["--json", "sum", tree] for tree in golden]
+    out += [["--json", "sum", "halfedge:" + tree] for tree in golden]
+    for tree in checked:
+        out.append(["--json", "series", tree, "--order", "10", "--oracle"])
+        out.append(["--json", "verify", tree, "--order", "10"])
+    out += [["series", tree, "--order", "10"] for tree in ("(())", "halfedge:(()())", golden[8])]
+    out.append(["--json", "table"])
+    for size in (1, 2, 3):
+        for m in enumerate_meanders(size):
+            out.append(["--json", "meander", "--upper", _arcs(m.upper), "--lower", _arcs(m.lower)])
+    out.append(["--json", "star", "--s", "3", "--partial", "100"])
+    out.append(["--trace", "sum", LINE_EXAMPLE_8.tree_text])
+    return out
+
+
+def run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_cli_output_matches_snapshot():
+    expected = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+    assert [entry["argv"] for entry in expected] == cases()
+    for entry in expected:
+        assert run(entry["argv"]) == entry
+
+
+if __name__ == "__main__":
+    records = [run(argv) for argv in cases()]
+    SNAPSHOT.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
