@@ -27,10 +27,11 @@ coefficient instead of convolving.
 
 Evaluation at t = 1/4 sends s -> 0, H1 -> 4/pi, H2 -> 8/(3 pi) and every
 Laurent coefficient to its exact rational value, landing in Q[1/pi]
-(`PiPoly`).  A `PiPoly` holds one `Laurent` in the variable 1/pi, so
-`Laurent` is the only sparse polynomial arithmetic over Q here, and one
-term renderer (`_term`, `_joined`) prints `Laurent`, `AlgebraElement` and
-truncated series alike.  No floating point is used anywhere in this
+(`PiPoly`).  A `PiPoly` holds one `Laurent` in the variable 1/pi and a
+`series.TruncatedSeries` one `Laurent` in t, so `Laurent` is the only
+polynomial arithmetic over Q in the package, and one term renderer
+(`_term`, `_joined`) prints `Laurent`, `AlgebraElement` and truncated
+series alike.  No floating point is used anywhere in this
 module, which needs only the standard library.
 
 All values are immutable once constructed and every operation is pure, so
@@ -569,10 +570,6 @@ def gauss_value_hk(k: int) -> "PiPoly":
         raise ValueError("K must be nonnegative")
     coeff = Fraction(4 ** (k + 1) * factorial(k) ** 2, factorial(2 * k + 1))
     return PiPoly({1: coeff})
-
-
-def eval_quarter(x: AlgebraElement) -> "PiPoly":
-    return x.eval_quarter()
 
 
 # pi truncated to 100 decimal places, used only for decimal display of exact

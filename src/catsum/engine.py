@@ -185,12 +185,6 @@ def tridiagonal_inverse(n: int) -> list[list[Fraction]]:
     ]
 
 
-def tridiagonal_determinant(n: int) -> Fraction:
-    """Determinant of that matrix: the cofactor recurrence
-    d_n = 2 d_{n-1} - d_{n-2}, d_0 = 1, d_1 = 2 solves to n + 1."""
-    return Fraction(n + 1)
-
-
 class Engine:
     """Reduces decorated trees to exact normal forms, memoized per instance.
 
@@ -503,8 +497,3 @@ class Engine:
             for r in range(k + 1):
                 value = value + _eq_power(d, k - r).mul_laurent(Laurent.t_power(r, catalan(r)))
         return f"{prefix}-finite-enumeration", v, [(value, ())]
-
-
-def reduce_tree(tree: DecoratedTree, **kwargs) -> AlgebraElement:
-    """One-shot reduction with a fresh engine."""
-    return Engine(**kwargs).reduce(tree)

@@ -48,6 +48,10 @@ class MeanderSyntaxError(MeanderError):
     pass
 
 
+class MeanderSizeError(MeanderError):
+    pass
+
+
 Matching = tuple[tuple[int, int], ...]
 
 
@@ -81,6 +85,8 @@ class Meander:
     lower: Matching
 
     def __post_init__(self):
+        if self.size < 1:
+            raise MeanderSizeError(f"a meander has size at least 1, got {self.size}")
         n = 2 * self.size
         object.__setattr__(self, "upper", _normalize_matching(self.upper, n, UPPER))
         object.__setattr__(self, "lower", _normalize_matching(self.lower, n, LOWER))

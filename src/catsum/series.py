@@ -1,11 +1,14 @@
 """Truncated power series over Q and the brute-force summation oracle.
 
-A `TruncatedSeries` stores exact coefficients for t^0 .. t^N.  The module
-also expands algebra elements into series (the generators H1, H2, s and
-the Catalan series C all have explicit coefficient formulas) and computes
-tree sums directly from their defining summations by exhaustive
-enumeration.  The enumeration is exponential in the tree size and is the
-independent ground truth everything else is checked against.
+A `TruncatedSeries` holds one `algebra.Laurent` with exponents in 0..N,
+the exact coefficients of t^0 .. t^N, so its arithmetic is that of
+`Laurent`, truncated once per result.  The module also expands algebra
+elements into series (one truncated sum over the generator series of H1,
+H2 and s, which like the Catalan series C have explicit coefficient
+formulas) and computes tree sums directly from their defining summations
+by exhaustive enumeration.  The enumeration is exponential in the tree
+size and is the independent ground truth everything else is checked
+against.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .algebra import AlgebraElement, _joined, _term
+from .algebra import L_ONE, L_ZERO, AlgebraElement, Laurent, _joined, _reduced, _term
 from .trees import GRAY, DecoratedTree, PlainTree, REL_NONE
 
 DEFAULT_BUDGET = 10**8
@@ -44,92 +47,83 @@ def catalan_power_coeff(s: int, n: int) -> int:
 
 
 class TruncatedSeries:
-    """Exact power series in t truncated at a fixed order."""
+    """Exact power series in t truncated at a fixed order.
 
-    __slots__ = ("order", "coeffs")
+    `poly` is one `Laurent` whose exponents lie in 0..order, so arithmetic
+    is that of `Laurent`, truncated once per result.  `coeffs` is the
+    read-only dense view, the list of `Fraction` coefficients of t^0..t^order.
+    """
+
+    __slots__ = ("order", "poly")
 
     def __init__(self, coeffs, order: int | None = None):
-        coeffs = [Fraction(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        coeffs = coeffs[: order + 1]
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        self.order = order
-        self.coeffs = coeffs
+        coeffs = list(coeffs)
+        order = len(coeffs) - 1 if order is None else order
+        built = _series(Laurent(dict(enumerate(coeffs))), order)
+        self.order, self.poly = built.order, built.poly
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order)
-
-    def coefficient(self, n: int) -> Fraction:
-        if n > self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+    @property
+    def coeffs(self) -> list[Fraction]:
+        terms, zero = self.poly.terms, Fraction(0)
+        return [terms.get(n, zero) for n in range(self.order + 1)]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+        same_type = isinstance(other, TruncatedSeries)
+        return same_type and (self.order, self.poly) == (other.order, other.poly)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[n] + other.coeffs[n] for n in range(order + 1)], order
-        )
+        return _series(self.poly + other.poly, min(self.order, other.order))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs], self.order)
+        return _series(-self.poly, self.order)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
+        return _series(self.poly - other.poly, min(self.order, other.order))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        out = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if not a:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(out, order)
+        return _series(self.poly * other.poly, min(self.order, other.order))
 
     def scale(self, q) -> "TruncatedSeries":
-        q = Fraction(q)
-        return TruncatedSeries([c * q for c in self.coeffs], self.order)
+        return _series(self.poly.scale(q), self.order)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k; negative k requires the low coefficients to vanish."""
-        if k >= 0:
-            return TruncatedSeries([Fraction(0)] * k + self.coeffs, self.order + k)
-        if any(self.coeffs[:-k]):
-            raise NegativePowerResidue(f"t^{k} shift hits nonzero low-order coefficients")
-        return TruncatedSeries(self.coeffs[-k:], self.order + k)
+        residue = f"t^{k} shift hits nonzero low-order coefficients"
+        return _series(self.poly.shift(k), self.order + k, residue)
 
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
             raise ValueError("negative powers of a truncated series are not defined")
-        result = TruncatedSeries.one(self.order)
+        result = _series(L_ONE, self.order)
         for _ in range(n):
             result = result * self
         return result
 
     def __str__(self):
-        return _joined(_term(c, n) for n, c in enumerate(self.coeffs) if c)
+        return _joined(_term(c, n) for n, c in sorted(self.poly.terms.items()))
 
     __repr__ = __str__
 
     def to_json(self):
         return [str(c) for c in self.coeffs]
+
+
+def _series(poly: Laurent, order: int, residue: str | None = None) -> TruncatedSeries:
+    """The series of poly through t^order, dropping the exponents above order.
+
+    A negative exponent raises NegativePowerResidue (with the message
+    `residue`, if given), then a negative order raises ValueError.
+    """
+    negative = sorted(k for k in poly.nums if k < 0)
+    if negative:
+        raise NegativePowerResidue(residue or f"uncancelled negative powers at t^{negative}")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if poly.nums and max(poly.nums) > order:
+        poly = _reduced({k: n for k, n in poly.nums.items() if k <= order}, poly.den)
+    res = TruncatedSeries.__new__(TruncatedSeries)
+    res.order, res.poly = order, poly
+    return res
 
 
 def generator_series(which: str, order: int) -> TruncatedSeries:
@@ -140,25 +134,17 @@ def generator_series(which: str, order: int) -> TruncatedSeries:
     C  = sum_n Cat_n t^n
     s  = 1 - 2 t C(t)
     """
-    coeffs = [Fraction(0)] * (order + 1)
     if which == "C":
-        for n in range(order + 1):
-            coeffs[n] = Fraction(catalan(n))
+        terms = {n: catalan(n) for n in range(order + 1)}
     elif which == "s":
-        coeffs[0] = Fraction(1)
-        for n in range(1, order + 1):
-            coeffs[n] = Fraction(-2 * catalan(n - 1))
+        terms = {0: 1} | {n: -2 * catalan(n - 1) for n in range(1, order + 1)}
     elif which == "H1":
-        coeffs[0] = Fraction(1)
-        for n in range(1, order // 2 + 1):
-            coeffs[2 * n] = Fraction(4 * catalan(n - 1) ** 2)
+        terms = {0: 1} | {2 * n: 4 * catalan(n - 1) ** 2 for n in range(1, order // 2 + 1)}
     elif which == "H2":
-        coeffs[0] = Fraction(1)
-        for n in range(1, order // 2 + 1):
-            coeffs[2 * n] = Fraction(-2 * catalan(n - 1) * catalan(n))
+        terms = {0: 1} | {2 * n: -2 * catalan(n - 1) * catalan(n) for n in range(1, order // 2 + 1)}
     else:
         raise ValueError(f"unknown generator {which!r}")
-    return TruncatedSeries(coeffs, order)
+    return _series(Laurent(terms), order)
 
 
 def hypergeom_series(a: Fraction, b: Fraction, c: Fraction, order: int) -> TruncatedSeries:
@@ -172,38 +158,20 @@ def hypergeom_series(a: Fraction, b: Fraction, c: Fraction, order: int) -> Trunc
 
 
 def series_expand(x: AlgebraElement, order: int) -> TruncatedSeries:
-    """Exact expansion of an algebra element through t^order.
+    """Exact expansion of an algebra element through t^order: the sum of
+    coeff * H1^a H2^b s^c over its terms, with the generator series taken
+    through t^(order + shift), where t^-shift is its lowest power of t.
 
     Raises NegativePowerResidue if a genuinely negative power survives.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    shift = max((0,) + tuple(-p.min_exp() for p in x.terms.values()))
-    work = order + shift
-    gens = {name: generator_series(name, work) for name in ("H1", "H2", "s")}
-    acc: dict[int, Fraction] = {}
-    pow_cache: dict[tuple[int, int, int], TruncatedSeries] = {}
-    for (a, b, c), coeff in x.terms.items():
-        key = (a, b, c)
-        if key not in pow_cache:
-            pow_cache[key] = gens["H1"] ** a * gens["H2"] ** b * gens["s"] ** c
-        base = pow_cache[key]
-        for e, v in coeff.terms.items():
-            for n, g in enumerate(base.coeffs):
-                if not g:
-                    continue
-                m = n + e
-                if m > order:
-                    continue
-                w = acc.get(m, Fraction(0)) + v * g
-                if w:
-                    acc[m] = w
-                else:
-                    acc.pop(m, None)
-    negative = sorted(m for m in acc if m < 0)
-    if negative:
-        raise NegativePowerResidue(f"uncancelled negative powers at t^{negative}")
-    return TruncatedSeries([acc.get(n, Fraction(0)) for n in range(order + 1)], order)
+    work = order + max([0] + [-p.min_exp() for p in x.terms.values()])
+    h1, h2, s = (generator_series(name, work) for name in ("H1", "H2", "s"))
+    total = sum(
+        (coeff * (h1**a * h2**b * s**c).poly for (a, b, c), coeff in x.terms.items()), L_ZERO
+    )
+    return _series(total, order)
 
 
 class _Budget:
@@ -258,10 +226,10 @@ def brute_force_decorated(
         slot = max(i for i, _ in signed) + 1
         checks_at[slot].append((signed, deco.rel, kappa[v]))
 
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     if constant_factor == 0 or not nongray:
         if constant_factor and not nongray:
-            coeffs[0] = Fraction(1)
+            coeffs[0] = 1
         return TruncatedSeries(coeffs, order)
 
     weights = [0] * len(post)
@@ -323,7 +291,7 @@ def brute_force_edge(
         incidence[0].append(half_index)
     n_edges = len(edges) + (1 if halfedge else 0)
 
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     x = [0] * n_edges
 
     def vertex_weight(v: int) -> int:
@@ -346,7 +314,7 @@ def brute_force_edge(
         x[e] = 0
 
     if n == 1 and not halfedge:
-        coeffs[0] = Fraction(1)
+        coeffs[0] = 1
         return TruncatedSeries(coeffs, order)
     assign(0, order)
     return TruncatedSeries(coeffs, order)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import catsum
-from catsum.algebra import H1, H2, ONE, PiPoly, eval_quarter, gauss_value_hk, hypergeom_hk
+from catsum.algebra import H1, H2, ONE, PiPoly, gauss_value_hk, hypergeom_hk
 from catsum.algebra import Laurent
 from catsum.engine import Engine, base_sum
 from catsum.meanders import enumerate_meanders, faces, forest, parse_meander, probability
@@ -97,7 +97,7 @@ def test_criterion_4_base_cases_and_contiguity():
         rhs = (hypergeom_hk(k + 1).mul_laurent(one_plus_z) - hypergeom_hk(k)).scale(k + 1)
         assert (lhs - rhs).is_zero(), k
     for k in range(21):
-        assert eval_quarter(hypergeom_hk(k)) == gauss_value_hk(k), k
+        assert hypergeom_hk(k).eval_quarter() == gauss_value_hk(k), k
     print("ACCEPTANCE 4: PASS - base sums, contiguity residuals, Gauss values")
 
 
@@ -203,3 +203,54 @@ def test_north_star_no_eval_and_stdlib_only():
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
     print("NORTH STAR: PASS - no eval or exec, standard-library imports only")
+
+
+def test_north_star_no_unused_imports_and_pinned_exports():
+    package = Path(catsum.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the re-exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = {name: line for name, line in imported.items() if name not in used}
+        assert not unused, (path.name, unused)
+    assert catsum.__all__ == [
+        "AlgebraElement",
+        "DecoratedTree",
+        "Engine",
+        "H1",
+        "H2",
+        "Laurent",
+        "ONE",
+        "PiPoly",
+        "PlainTree",
+        "SQRT_1_4T",
+        "TruncatedSeries",
+        "ZERO",
+        "base_sum",
+        "brute_force_decorated",
+        "brute_force_edge",
+        "canonical_decorate",
+        "canonical_key",
+        "catalan",
+        "catalan_gf",
+        "classify_fringe",
+        "gauss_value_hk",
+        "generator_series",
+        "height_zero_sum",
+        "hypergeom_hk",
+        "parse_decorated",
+        "parse_plain",
+        "series_expand",
+        "swap_colors",
+    ]
+    assert all(hasattr(catsum, name) for name in catsum.__all__)
+    print("NORTH STAR: PASS - no unused imports, public surface pinned")

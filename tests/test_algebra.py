@@ -16,7 +16,6 @@ from catsum.algebra import (
     Laurent,
     PiPoly,
     catalan_gf,
-    eval_quarter,
     gauss_value_hk,
     hypergeom_hk,
 )
@@ -96,17 +95,17 @@ def test_hypergeom_hk_series_against_direct_formula():
 
 
 def test_gauss_values():
-    assert eval_quarter(H1) == PiPoly({1: 4})
-    assert eval_quarter(H2) == PiPoly({1: Fraction(8, 3)})
+    assert H1.eval_quarter() == PiPoly({1: 4})
+    assert H2.eval_quarter() == PiPoly({1: Fraction(8, 3)})
     for k in range(21):
-        assert eval_quarter(hypergeom_hk(k)) == gauss_value_hk(k), k
+        assert hypergeom_hk(k).eval_quarter() == gauss_value_hk(k), k
 
 
 def test_eval_quarter_examples():
     s_eq0 = S_EQ0_NUM.shift_t(-2).scale(Fraction(1, 4))
-    assert eval_quarter(s_eq0) == PiPoly({1: 16, 0: -4})
-    assert eval_quarter(SQRT_1_4T) == PiPoly()
-    assert eval_quarter(catalan_gf()) == PiPoly({0: 2})
+    assert s_eq0.eval_quarter() == PiPoly({1: 16, 0: -4})
+    assert SQRT_1_4T.eval_quarter() == PiPoly()
+    assert catalan_gf().eval_quarter() == PiPoly({0: 2})
 
 
 def _random_laurent(rng):
@@ -149,8 +148,8 @@ def test_eval_quarter_is_ring_morphism():
     rng = random.Random(3)
     for _ in range(40):
         x, y = _random_element(rng), _random_element(rng)
-        assert eval_quarter(x * y) == eval_quarter(x) * eval_quarter(y)
-        assert eval_quarter(x + y) == eval_quarter(x) + eval_quarter(y)
+        assert (x * y).eval_quarter() == x.eval_quarter() * y.eval_quarter()
+        assert (x + y).eval_quarter() == x.eval_quarter() + y.eval_quarter()
 
 
 # -- differential test of the integer kernel against {exp: Fraction} dicts --
@@ -325,7 +324,7 @@ def test_element_kernel_matches_fraction_reference():
             assert _as_ref(got) == expected, (op, x, y)
             rebuilt = _element(expected)
             assert got == rebuilt and hash(got) == hash(rebuilt), op
-        assert eval_quarter(ex) == PiPoly(_ref_eval_quarter(x))
+        assert ex.eval_quarter() == PiPoly(_ref_eval_quarter(x))
     # s * s through the monomial path: s^2 = 1 - 4t
     assert _as_ref(SQRT_1_4T * SQRT_1_4T) == {(0, 0, 0): {0: 1, 1: -4}}
     assert _as_ref(SQRT_1_4T.shift_t(-1) * SQRT_1_4T.scale(2)) == {(0, 0, 0): {-1: 2, 0: -8}}
@@ -350,7 +349,7 @@ def test_division():
 def test_catalan_gf_series_and_value():
     c = catalan_gf()
     assert series_expand(c, 4).coeffs == [1, 1, 2, 5, 14]
-    assert eval_quarter(c) == PiPoly({0: 2})
+    assert c.eval_quarter() == PiPoly({0: 2})
 
 
 def test_substitute_sqrt_t():

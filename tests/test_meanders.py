@@ -10,6 +10,7 @@ from catsum.engine import Engine
 from catsum.meanders import (
     CrossingArcs,
     Meander,
+    MeanderSizeError,
     MeanderSyntaxError,
     MultipleLoops,
     NotAMatching,
@@ -39,6 +40,14 @@ def test_parse_and_validate():
         parse_meander("upper: 0-1")
     with pytest.raises(MeanderSyntaxError):
         parse_meander("upper: 0+1; lower: 0-1")
+
+
+def test_size_below_one_rejected():
+    for size in (0, -1):
+        with pytest.raises(MeanderSizeError, match=f"got {size}"):
+            Meander(size, (), ())
+        with pytest.raises(MeanderSizeError, match=f"got {size}"):
+            enumerate_meanders(size)
 
 
 def test_faces_circle():

@@ -75,6 +75,89 @@ def test_series_arithmetic():
     assert a.to_json() == ["1", "2", "3"]
 
 
+# Dense Fraction-list arithmetic, the series kernel before it moved onto
+# Laurent, kept as the reference: a list of n + 1 coefficients is a series
+# truncated at order n.
+
+
+def _ref_mul(a, b):
+    order = min(len(a), len(b)) - 1
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        for j in range(order + 1 - i):
+            out[i + j] += x * b[j]
+    return out
+
+
+def _ref_pow(a, n):
+    result = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for _ in range(n):
+        result = _ref_mul(result, a)
+    return result
+
+
+def _ref_shift(a, k):
+    """a * t^k, or None where the reference raised NegativePowerResidue."""
+    if k >= 0:
+        return [Fraction(0)] * k + a
+    return None if any(a[:-k]) else a[-k:]
+
+
+def test_series_arithmetic_matches_dense_reference():
+    rng = random.Random(8)
+
+    def random_coeffs():
+        lead = [Fraction(0)] * rng.randint(0, 3)
+        return lead + [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.7 else Fraction(0)
+            for _ in range(rng.randint(1, 8))
+        ]
+
+    shifted_down = 0
+    for _ in range(300):
+        a, b = random_coeffs(), random_coeffs()
+        sa, sb = TruncatedSeries(a), TruncatedSeries(b)
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        n = rng.randint(0, 4)
+        cases = [
+            (sa + sb, [x + y for x, y in zip(a, b)]),
+            (-sa, [-x for x in a]),
+            (sa - sb, [x - y for x, y in zip(a, b)]),
+            (sa * sb, _ref_mul(a, b)),
+            (sa.scale(q), [x * q for x in a]),
+            (sa**n, _ref_pow(a, n)),
+        ]
+        for got, want in cases:
+            assert (got.order, got.coeffs, got.to_json()) == (
+                len(want) - 1, want, [str(c) for c in want]
+            )
+            assert got == TruncatedSeries(want)
+        k = rng.randint(-4, 4)
+        want = _ref_shift(a, k)
+        if want is None:
+            with pytest.raises(NegativePowerResidue, match=f"t\\^{k} shift"):
+                sa.shift(k)
+        elif not want:
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                sa.shift(k)
+        else:
+            shifted_down += k < 0
+            assert sa.shift(k) == TruncatedSeries(want)
+            assert sa.shift(k).order == sa.order + k
+    assert shifted_down > 20
+
+
+def test_series_coefficients_are_exact():
+    for bad in (0.1, 1.0, "1", "1/2"):
+        with pytest.raises(TypeError):
+            TruncatedSeries([1, bad])
+        with pytest.raises(TypeError):
+            TruncatedSeries([1, 2]).scale(bad)
+    s = TruncatedSeries([1, Fraction(1, 3)], 3)
+    s.coeffs[0] = Fraction(7)
+    assert s.coeffs == [1, Fraction(1, 3), 0, 0] and s.poly == Laurent({0: 1, 1: Fraction(1, 3)})
+
+
 def test_series_expand_examples():
     s_eq0 = (H1 - ONE).shift_t(-2).scale(Fraction(1, 4))
     assert series_expand(s_eq0, 6).coeffs == [1, 0, 1, 0, 4, 0, 25]
