@@ -31,8 +31,8 @@ Laurent coefficient to its exact rational value, landing in Q[1/pi]
 `series.TruncatedSeries` one `Laurent` in t, so `Laurent` is the only
 polynomial arithmetic over Q in the package, and one term renderer
 (`_term`, `_joined`) prints `Laurent`, `AlgebraElement` and truncated
-series alike.  No floating point is used anywhere in this
-module, which needs only the standard library.
+series alike.  No floating point is used anywhere in this module, which
+needs only the standard library.
 
 All values are immutable once constructed and every operation is pure, so
 elements can be shared freely between threads.
