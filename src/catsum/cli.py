@@ -223,9 +223,7 @@ def _cmd_table(args) -> int:
         ok_closed = value == closed_form_element(entry)
         ok_eval = value.eval_quarter() == evaluation_pipoly(entry)
         engine_series = series_expand(value, 2 * (len(entry.series) - 1))
-        ok_series = all(
-            engine_series.coeffs[2 * i] == c for i, c in enumerate(entry.series)
-        )
+        ok_series = engine_series.coeffs[::2] == list(entry.series)
         oracle = brute_force_decorated(tree, 2 * (len(entry.series) - 1), budget=_oracle_budget())
         ok_oracle = engine_series == oracle
         ok = ok_closed and ok_eval and ok_series and ok_oracle

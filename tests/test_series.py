@@ -75,9 +75,8 @@ def test_series_arithmetic():
     assert a.to_json() == ["1", "2", "3"]
 
 
-# Dense Fraction-list arithmetic, the series kernel before it moved onto
-# Laurent, kept as the reference: a list of n + 1 coefficients is a series
-# truncated at order n.
+# The reference for the series kernel: dense Fraction-list arithmetic, in
+# which a list of n + 1 coefficients is a series truncated at order n.
 
 
 def _ref_mul(a, b):
