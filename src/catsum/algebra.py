@@ -31,8 +31,11 @@ Laurent coefficient to its exact rational value, landing in Q[1/pi]
 `series.TruncatedSeries` one `Laurent` in t, so `Laurent` is the only
 polynomial arithmetic over Q in the package, and one term renderer
 (`_term`, `_joined`) prints `Laurent`, `AlgebraElement` and truncated
-series alike.  No floating point is used anywhere in this module, which
-needs only the standard library.
+series alike.  `_stored`, `_element`, `_pipoly` and `series._series`
+wrap values already in normal form unchecked, one square-and-multiply
+(`_power`) serves every `**`, and decimals bound pi by Machin's formula on
+integers to as many places as they need.  No floating point is used
+anywhere in this module, which needs only the standard library.
 
 All values are immutable once constructed and every operation is pure, so
 elements can be shared freely between threads.
@@ -86,6 +89,19 @@ def _reduced(nums: dict[int, int], den: int) -> "Laurent":
             nums = {k: n // g for k, n in nums.items()}
             den //= g
     return _stored(nums, den)
+
+
+def _power(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply from the identity `one`,
+    skipping the squaring after the last bit."""
+    result = one
+    while True:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
 
 
 class Laurent:
@@ -236,6 +252,14 @@ L_S_SQUARED = Laurent({0: 1, 1: -4})
 QUARTER = Fraction(1, 4)
 
 
+def _element(terms: dict[tuple[int, int, int], Laurent]) -> "AlgebraElement":
+    """An AlgebraElement around terms already in normal form: valid
+    generator exponents and no zero coefficient."""
+    res = AlgebraElement.__new__(AlgebraElement)
+    res.terms = terms
+    return res
+
+
 class AlgebraElement:
     """Normal form of an element of Q[t,t^-1][H1,H2,s], s-exponent in {0,1}."""
 
@@ -253,10 +277,6 @@ class AlgebraElement:
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "AlgebraElement":
-        return cls()
 
     @classmethod
     def from_laurent(cls, p: Laurent) -> "AlgebraElement":
@@ -304,16 +324,12 @@ class AlgebraElement:
                 out.pop(key, None)
             else:
                 out[key] = w
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.terms = out
-        return res
+        return _element(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "AlgebraElement":
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.terms = {k: -v for k, v in self.terms.items()}
-        return res
+        return _element({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other) -> "AlgebraElement":
         other = self._coerce(other)
@@ -356,9 +372,7 @@ class AlgebraElement:
                     out.pop(key, None)
                 else:
                     out[key] = w
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.terms = out
-        return res
+        return _element(out)
 
     __rmul__ = __mul__
 
@@ -373,42 +387,27 @@ class AlgebraElement:
                 out[(a + ma, b + mb, 0)] = coeff * L_S_SQUARED  # s^2 = 1 - 4t
             else:
                 out[(a + ma, b + mb, c + mc)] = coeff
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.terms = out
-        return res
+        return _element(out)
 
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:
             raise ValueError("negative powers are not defined in the algebra")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ONE)
 
     def scale(self, q) -> "AlgebraElement":
         q = _frac(q)
         if q == 0:
             return ZERO
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.terms = {k: v.scale(q) for k, v in self.terms.items()}
-        return res
+        return _element({k: v.scale(q) for k, v in self.terms.items()})
 
     def shift_t(self, k: int) -> "AlgebraElement":
         """Multiply by t^k (k may be negative)."""
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.terms = {key: v.shift(k) for key, v in self.terms.items()}
-        return res
+        return _element({key: v.shift(k) for key, v in self.terms.items()})
 
     def mul_laurent(self, p: Laurent) -> "AlgebraElement":
         if p.is_zero():
             return ZERO
-        res = AlgebraElement.__new__(AlgebraElement)
-        res.terms = {key: coeff * p for key, coeff in self.terms.items()}
-        return res
+        return _element({key: coeff * p for key, coeff in self.terms.items()})
 
     def __truediv__(self, other) -> "AlgebraElement":
         """Division by a nonzero rational or a rational multiple of t^k."""
@@ -443,7 +442,7 @@ class AlgebraElement:
 
     def s_component(self) -> "AlgebraElement":
         """The part of the element with s-exponent 1."""
-        return AlgebraElement({k: v for k, v in self.terms.items() if k[2] == 1})
+        return _element({k: v for k, v in self.terms.items() if k[2] == 1})
 
     def min_t_exponent(self):
         if not self.terms:
@@ -464,7 +463,7 @@ class AlgebraElement:
                     raise ValueError(f"odd t-exponent {e}: no sqrt-t form")
                 halved[e // 2] = n
             out[key] = _stored(halved, coeff.den)
-        return AlgebraElement(out)
+        return _element(out)
 
     # -- evaluation -----------------------------------------------------
 
@@ -524,7 +523,7 @@ class AlgebraElement:
         return {"terms": out}
 
 
-ZERO = AlgebraElement.zero()
+ZERO = _element({})
 ONE = AlgebraElement.from_rational(1)
 H1 = AlgebraElement.monomial(1, 0, 0)
 H2 = AlgebraElement.monomial(0, 1, 0)
@@ -572,16 +571,34 @@ def gauss_value_hk(k: int) -> "PiPoly":
     return PiPoly({1: coeff})
 
 
-# pi truncated to 100 decimal places, used only for decimal display of exact
-# values: pi lies in [_PI_FRACTION, _PI_FRACTION + 10^-100].
-PI_DIGITS = (
-    "3."
-    "1415926535897932384626433832795028841971693993751"
-    "058209749445923078164062862089986280348253421170679"
-)
-_PI_PLACES = len(PI_DIGITS) - 2
-_PI_FRACTION = Fraction(int(PI_DIGITS.replace(".", "")), 10**_PI_PLACES)
-_PI_UPPER = _PI_FRACTION + Fraction(1, 10**_PI_PLACES)
+_PI_PLACES = 100  # places of pi behind `to_fraction`, and the first `to_decimal` tries
+
+
+@lru_cache(maxsize=None)
+def _pi_bounds(places: int) -> tuple[Fraction, Fraction]:
+    """pi truncated to `places` decimal places, and that plus 10^-places.
+
+    Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239) is summed in units
+    of 10^-D, D = places + guard digits, each arctan(1/x) by its Taylor series
+    until the floored x^-k reaches 0.  Each floored term, and each dropped
+    tail, is off by under one unit times its weight; the series take under
+    0.72 D + 1 and 0.21 D + 1 terms, so the sum is off by under
+    12.4 D + 40 <= 20 D units.  The guard doubles until both ends of that
+    interval truncate alike."""
+    guard = 10
+    while True:
+        digits = places + guard
+        scaled = 0
+        for weight, x in ((16, 5), (-4, 239)):
+            power, k = 10**digits // x, 1
+            while power:
+                scaled += weight * (-1) ** (k // 2) * (power // k)
+                power //= x * x
+                k += 2
+        low, high = ((scaled + e) // 10**guard for e in (-20 * digits, 20 * digits))
+        if low == high:
+            return Fraction(low, 10**places), Fraction(low + 1, 10**places)
+        guard *= 2
 
 
 def _truncated(value: Fraction, digits: int) -> str:
@@ -651,10 +668,7 @@ class PiPoly:
     def __pow__(self, n: int) -> "PiPoly":
         if n < 0:
             raise ValueError("negative powers are not defined in the algebra")
-        result = PiPoly.const(1)
-        for _ in range(n):
-            result = result * self
-        return result
+        return _power(self, n, PiPoly.const(1))
 
     def __str__(self):
         """Canonical ascending rendering: c0 + c1*pi^-1 + c2*pi^-2 + ..."""
@@ -676,30 +690,25 @@ class PiPoly:
         return _joined(parts)
 
     def to_fraction(self) -> Fraction:
-        """Approximate rational value using the 100-digit pi constant (display only)."""
-        return self.poly.eval_at(1 / _PI_FRACTION)
+        """Approximate rational value, with pi truncated to 100 places (display only)."""
+        return self.poly.eval_at(1 / _pi_bounds(_PI_PLACES)[0])
 
     def to_decimal(self, digits: int = 12) -> str:
         """Truncated decimal expansion with `digits` places after the point.
 
-        Each term v/pi^d is bounded with pi in [PI, PI + 10^-100], and the
-        truncation is returned only when both ends of the resulting interval
-        truncate to the same text; otherwise the 100 known digits of pi are
-        too few and ValueError is raised.
+        Each term v/pi^d is bounded with pi between its truncation to P
+        places and that plus 10^-P, for P = 100, 200, 400, ..., and the
+        truncation is returned once both ends of the resulting interval
+        truncate to the same text.
         """
-        low = high = Fraction(0)
-        for d, v in self.coeffs.items():
-            small, large = v / _PI_UPPER**d, v / _PI_FRACTION**d
-            if v < 0:
-                small, large = large, small
-            low += small
-            high += large
-        text = _truncated(low, digits)
-        if _truncated(high, digits) != text:
-            raise ValueError(
-                f"{digits} decimal places need pi beyond the {_PI_PLACES} places known here"
-            )
-        return text
+        places = _PI_PLACES
+        while True:
+            pi_low, pi_high = _pi_bounds(places)
+            ends = [(v / pi_high**d, v / pi_low**d) for d, v in self.coeffs.items()]
+            text = _truncated(sum(map(min, ends)), digits)
+            if _truncated(sum(map(max, ends)), digits) == text:
+                return text
+            places *= 2
 
     def to_json(self):
         return [[d, str(v)] for d, v in sorted(self.coeffs.items(), reverse=True)]

@@ -28,7 +28,6 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from .algebra import AlgebraElement
 from .engine import DepthGuardExceeded, Engine
 from .meanders import MeanderError, faces, forest, parse_meander, probability
 from .series import (
@@ -78,10 +77,6 @@ def _engine(args) -> Engine:
     return Engine(trace=trace)
 
 
-def _closed_form_strings(value: AlgebraElement, sqrt_t: bool) -> str:
-    return value.substitute_sqrt_t().pretty() if sqrt_t else value.pretty()
-
-
 def _fraction_text(q: Fraction) -> str:
     """str(q) at any size: formatting through Decimal is exact and not
     subject to CPython's limit on int-to-string digits."""
@@ -101,7 +96,7 @@ def _cmd_sum(args) -> int:
     tree, source = _load_tree(args.tree)
     value = _engine(args).reduce(tree)
     evaluation = value.eval_quarter()
-    closed = _closed_form_strings(value, args.sqrt_t)
+    closed = value.substitute_sqrt_t().pretty() if args.sqrt_t else value.pretty()
     payload = {
         "tree": source,
         "closed_form": closed,

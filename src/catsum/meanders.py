@@ -151,11 +151,7 @@ def parse_meander(text: str) -> Meander:
         sides[name] = _parse_side(arcs, name)
     if set(sides) != {UPPER, LOWER}:
         raise MeanderSyntaxError("need exactly one upper and one lower matching")
-    n_points = 2 * len(sides[UPPER])
-    size, rem = divmod(n_points, 2)
-    if rem:
-        raise NotAMatching("odd number of points")
-    return Meander(size, tuple(sides[UPPER]), tuple(sides[LOWER]))
+    return Meander(len(sides[UPPER]), tuple(sides[UPPER]), tuple(sides[LOWER]))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .algebra import L_ONE, L_ZERO, AlgebraElement, Laurent, _joined, _reduced, _term
+from .algebra import L_ONE, L_ZERO, AlgebraElement, Laurent, _joined, _power, _reduced, _term
 from .trees import GRAY, DecoratedTree, PlainTree, REL_NONE
 
 DEFAULT_BUDGET = 10**8
@@ -94,10 +94,7 @@ class TruncatedSeries:
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
             raise ValueError("negative powers of a truncated series are not defined")
-        result = _series(L_ONE, self.order)
-        for _ in range(n):
-            result = result * self
-        return result
+        return _power(self, n, _series(L_ONE, self.order))
 
     def __str__(self):
         return _joined(_term(c, n) for n, c in sorted(self.poly.terms.items()))
@@ -145,16 +142,6 @@ def generator_series(which: str, order: int) -> TruncatedSeries:
     else:
         raise ValueError(f"unknown generator {which!r}")
     return _series(Laurent(terms), order)
-
-
-def hypergeom_series(a: Fraction, b: Fraction, c: Fraction, order: int) -> TruncatedSeries:
-    """Raw 2F1(a, b; c; z) series in z, truncated: sum a^(n) b^(n) / (c^(n) n!) z^n."""
-    coeffs = [Fraction(1)]
-    term = Fraction(1)
-    for n in range(order):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1))
-        coeffs.append(term)
-    return TruncatedSeries(coeffs, order)
 
 
 def series_expand(x: AlgebraElement, order: int) -> TruncatedSeries:
@@ -265,9 +252,7 @@ def _holds(lhs: int, rel: str, rhs: int) -> bool:
     return True
 
 
-def brute_force_edge(
-    tree: PlainTree, order: int, budget: int = DEFAULT_BUDGET, halfedge: bool | None = None
-) -> TruncatedSeries:
+def brute_force_edge(tree: PlainTree, order: int, budget: int = DEFAULT_BUDGET) -> TruncatedSeries:
     """Tree sum by direct enumeration of the edge variables.
 
     One nonnegative weight per edge (plus one for the half-edge when
@@ -275,8 +260,6 @@ def brute_force_edge(
     the weights of its incident edges.
     """
     counter = _Budget(budget)
-    if halfedge is None:
-        halfedge = tree.half_edge
     n = len(tree.parents)
     # Edge list: (child vertex) encodes the edge to its parent; the half-edge
     # is an extra variable incident only to the root.
@@ -286,10 +269,10 @@ def brute_force_edge(
         incidence[p].append(e)
         incidence[v].append(e)
     half_index = None
-    if halfedge:
+    if tree.half_edge:
         half_index = len(edges)
         incidence[0].append(half_index)
-    n_edges = len(edges) + (1 if halfedge else 0)
+    n_edges = len(edges) + (1 if tree.half_edge else 0)
 
     coeffs = [0] * (order + 1)
     x = [0] * n_edges
@@ -313,7 +296,7 @@ def brute_force_edge(
             assign(e + 1, degree_left - step * w)
         x[e] = 0
 
-    if n == 1 and not halfedge:
+    if n == 1 and not tree.half_edge:
         coeffs[0] = 1
         return TruncatedSeries(coeffs, order)
     assign(0, order)

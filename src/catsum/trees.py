@@ -15,7 +15,10 @@ followed by the sorted encodings of its children.  It is built bottom-up in
 one pass over the vertices in reverse index order, which visits every child
 before its parent (the AHU tree-isomorphism encoding).  Trees are
 immutable; every structural edit returns a new tree, laid out in preorder.
-Every walk over a tree is a loop, so deep trees need no recursion.
+One preorder walk (`_preorder`) lays out every tree built from child lists,
+and one breadth-first walk (`_rooted`) roots every adjacency graph for
+rerooting, centroids and free-tree enumeration.  Every walk over a tree is
+a loop, so deep trees need no recursion.
 """
 
 from __future__ import annotations
@@ -165,25 +168,13 @@ class DecoratedTree:
 
     def subtree(self, v: int) -> list[int]:
         """Vertices of the fringe subtree at v, in preorder."""
-        out = [v]
-        i = 0
-        while i < len(out):
-            out.extend(self.children[out[i]])
-            i += 1
-        return out
+        return _preorder(self.children, v)[0]
 
     def postorder(self) -> list[int]:
         """Children before parents, siblings in index order."""
         # Reversed, a postorder visits each vertex before its subtrees and
         # those subtrees from the last sibling to the first.
-        out: list[int] = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.children[v])
-        out.reverse()
-        return out
+        return _preorder([kids[::-1] for kids in self.children], 0)[0][::-1]
 
     def shift_sums(self) -> tuple[int, ...]:
         """For each vertex, the sum of the shifts over its fringe subtree."""
@@ -398,22 +389,31 @@ def swap_colors(tree: DecoratedTree) -> DecoratedTree:
 # ---------------------------------------------------------------------------
 
 
-def _rebuild(kids, decos, root: int = 0) -> DecoratedTree:
-    """The tree reachable from `root` through the child lists `kids`, with
-    decorations `decos` (both indexed by vertex), laid out in preorder with
-    children in list order.  Every structural edit returns this layout,
-    whatever the layout of its input."""
+def _preorder(kids, root: int) -> tuple[list[int], list[int]]:
+    """The vertices reachable from `root` through the child lists `kids`, in
+    preorder with children in list order, and the parent of each as an index
+    into that order (-1 for the root)."""
+    order: list[int] = []
     parents: list[int] = []
-    out: list[Decoration] = []
-    stack = [(root, -1)]  # (vertex, index of its parent in the output)
+    stack = [(root, -1)]  # (vertex, index of its parent in the order)
     while stack:
         v, p = stack.pop()
-        idx = len(parents)
+        idx = len(order)
+        order.append(v)
         parents.append(p)
-        out.append(decos[v])
         for c in reversed(kids[v]):
             stack.append((c, idx))
-    return DecoratedTree(tuple(parents), tuple(out))
+    return order, parents
+
+
+def _rebuild(kids, decos, root: int = 0) -> DecoratedTree:
+    """The tree reachable from `root` through the child lists `kids`, with
+    decorations `decos` (both indexed by vertex), in the layout of
+    `_preorder`.  Every structural edit returns this layout, whatever the
+    layout of its input."""
+    order, parents = _preorder(kids, root)
+    # From a list: tuples grown from an iterator raised peak RSS on `sum-cold`.
+    return DecoratedTree(tuple(parents), tuple([decos[v] for v in order]))
 
 
 def _without(kids, v: int) -> list[int]:
@@ -652,24 +652,29 @@ def classify_fringe(tree: DecoratedTree, v: int) -> LongStarPattern:
 # ---------------------------------------------------------------------------
 
 
+def _rooted(adj: list[list[int]], root: int) -> tuple[list[int], list]:
+    """The tree spanned by the adjacency lists from `root`: its vertices in
+    breadth-first order and each one's children in adjacency order (fresh
+    lists; None for vertices not reached).  `adj` must hold no cycle, so
+    the neighbours of v that have no children list yet are its children."""
+    kids: list = [None] * len(adj)
+    order = [root]
+    for v in order:
+        kids[v] = below = [c for c in adj[v] if kids[c] is None]
+        order += below
+    return order, kids
+
+
 def _canonical_children(adj: list[list[int]], root: int) -> tuple[list, str]:
     """For the tree spanned by the adjacency lists from `root`: each vertex's
     children sorted by the sibling-order-invariant encoding of their subtrees
     (ties in adjacency order), and the encoding of the whole tree."""
-    above = [-1] * len(adj)
-    order = [root]
-    for v in order:
-        for c in adj[v]:
-            if c != above[v]:
-                above[c] = v
-                order.append(c)
+    order, kids_of = _rooted(adj, root)
     enc: list[str | None] = [None] * len(adj)
-    kids_of: list[list[int] | None] = [None] * len(adj)
     for v in reversed(order):
-        kids = [c for c in adj[v] if c != above[v]]
+        kids = kids_of[v]
         if len(kids) > 1:
             kids.sort(key=enc.__getitem__)
-        kids_of[v] = kids
         parts = []
         for c in kids:
             parts.append(enc[c])
@@ -682,36 +687,24 @@ def _canonical_centroid(adj: list[list[int]]) -> tuple[str, int, list]:
     """The free tree's canonical centroid, the one whose rooted encoding is
     least: (that encoding, the centroid, its canonical children lists)."""
     best = None
-    for root in _centroids(adj, len(adj)):
+    for root in _centroids(adj):
         kids_of, enc = _canonical_children(adj, root)
         if best is None or enc < best[0]:
             best = (enc, root, kids_of)
     return best
 
 
-def _centroids(adj: list[list[int]], n: int) -> list[int]:
+def _centroids(adj: list[list[int]]) -> list[int]:
+    """The vertices whose heaviest component, once removed, is smallest."""
+    n = len(adj)
+    order, kids = _rooted(adj, 0)
     size = [1] * n
-    order: list[int] = []
-    parent = [-1] * n
-    stack = [0]
-    seen = [False] * n
-    while stack:
-        v = stack.pop()
-        seen[v] = True
-        order.append(v)
-        for u in adj[v]:
-            if not seen[u]:
-                parent[u] = v
-                stack.append(u)
     for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
+        for c in kids[v]:
+            size[v] += size[c]
     best, out = None, []
     for v in range(n):
-        heaviest = max(
-            [size[u] for u in adj[v] if u != parent[v]] + ([n - size[v]] if parent[v] >= 0 else []),
-            default=0,
-        )
+        heaviest = max([size[c] for c in kids[v]] + ([n - size[v]] if v else []), default=0)
         if best is None or heaviest < best:
             best, out = heaviest, [v]
         elif heaviest == best:
@@ -732,15 +725,9 @@ def plain_from_adjacency(
 ) -> PlainTree:
     """The tree spanned by the adjacency lists from `root`, in preorder.
     Children follow adjacency order, or the lists `kids_of` when given."""
-    parents: list[int] = []
-    stack = [(root, -1, -1)]  # (vertex, parent vertex, parent index)
-    while stack:
-        v, parent_vertex, parent_idx = stack.pop()
-        idx = len(parents)
-        parents.append(parent_idx)
-        kids = kids_of[v] if kids_of is not None else [c for c in adj[v] if c != parent_vertex]
-        stack.extend((c, v, idx) for c in reversed(kids))
-    return PlainTree(tuple(parents), half_edge)
+    if kids_of is None:
+        kids_of = _rooted(adj, root)[1]
+    return PlainTree(tuple(_preorder(kids_of, root)[1]), half_edge)
 
 
 def enumerate_free_trees(n: int) -> list[PlainTree]:

@@ -1,7 +1,9 @@
 """Shared helpers: random decorated trees, star builders, sum-expression
-evaluation through the brute-force oracle."""
+evaluation through the brute-force oracle, the raw 2F1 series."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +68,17 @@ def sumexpr_series(expr, order: int) -> TruncatedSeries:
             term = term * brute_force_decorated(tree, order + shift)
         acc = acc + term
     return acc.shift(-shift)  # NegativePowerResidue if negative powers stay
+
+
+def hypergeom_series(a: Fraction, b: Fraction, c: Fraction, order: int) -> TruncatedSeries:
+    """Raw 2F1(a, b; c; z) series in z, truncated: sum a^(n) b^(n) / (c^(n) n!) z^n.
+    An independent reference for the generator series and `hypergeom_hk`."""
+    coeffs = [Fraction(1)]
+    term = Fraction(1)
+    for n in range(order):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1))
+        coeffs.append(term)
+    return TruncatedSeries(coeffs, order)
 
 
 @pytest.fixture(scope="session")

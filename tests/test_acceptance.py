@@ -205,12 +205,36 @@ def test_north_star_no_eval_and_stdlib_only():
     print("NORTH STAR: PASS - no eval or exec, standard-library imports only")
 
 
+def _names_outside(tree, skipped):
+    """Every name and attribute read in `tree`, except inside the node `skipped`."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skipped:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
 def test_north_star_no_unused_imports_and_pinned_exports():
     package = Path(catsum.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":  # its imports are the re-exports
+    modules = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(package.glob("*.py"))
+    }
+    # every module-level private function is referenced outside its own def
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                assert any(
+                    node.name in _names_outside(other, node) for other in modules.values()
+                ), (name, node.name)
+    for name, tree in modules.items():
+        if name == "__init__.py":  # its imports are the re-exports
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         imported = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -220,8 +244,8 @@ def test_north_star_no_unused_imports_and_pinned_exports():
                 for alias in node.names:
                     imported[alias.asname or alias.name] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused = {name: line for name, line in imported.items() if name not in used}
-        assert not unused, (path.name, unused)
+        unused = {alias: line for alias, line in imported.items() if alias not in used}
+        assert not unused, (name, unused)
     assert catsum.__all__ == [
         "AlgebraElement",
         "DecoratedTree",

@@ -19,7 +19,10 @@ from catsum.algebra import (
     gauss_value_hk,
     hypergeom_hk,
 )
-from catsum.series import generator_series, hypergeom_series, series_expand
+from catsum.series import generator_series, series_expand
+from catsum.table_data import LINE_EXAMPLE_8, TABLE, evaluation_pipoly
+
+from conftest import hypergeom_series
 
 S_EQ0_NUM = H1 - ONE  # numerator of the two-vertex equality sum
 
@@ -384,9 +387,18 @@ def test_json_shapes():
     assert PiPoly({1: 16, 0: -4}).to_json() == [[1, "16"], [0, "-4"]]
 
 
+# pi to 100 places, as printed in reference tables.
+PI_100 = (
+    "3."
+    "1415926535897932384626433832795028841971693993751"
+    "058209749445923078164062862089986280348253421170679"
+)
+
+
 def _pi_times_power_of_ten(places):
-    """pi * 10^places to within a few units, from Machin's formula
-    pi = 16 arctan(1/5) - 4 arctan(1/239) on integers with guard digits."""
+    """pi * 10^places to within a few units, from Gauss's formula
+    pi = 48 arctan(1/18) + 32 arctan(1/57) - 20 arctan(1/239) on integers with
+    guard digits (the package uses Machin's formula, so this stays independent)."""
     guard = 10
     unit = 10 ** (places + guard)
 
@@ -400,26 +412,34 @@ def _pi_times_power_of_ten(places):
             total += sign * (term // n)
         return total
 
-    return (16 * arctan_inverse(5) - 4 * arctan_inverse(239)) // 10**guard
+    scaled = 48 * arctan_inverse(18) + 32 * arctan_inverse(57) - 20 * arctan_inverse(239)
+    return scaled // 10**guard
 
 
 def test_pipoly_decimal_truncates():
     # 1/pi = 0.3183098861837906..., truncation keeps 12 exact digits
     assert PiPoly({1: 1}).to_decimal(12) == "0.318309886183"
     assert PiPoly({0: Fraction(-1, 8)}).to_decimal(3) == "-0.125"
-    # 90 places of 1/pi and of 16/pi - 4, against digits derived from
-    # Machin's formula (its error of a few units in 10^-130 cannot reach
-    # the 90th place)
-    pi_scaled = _pi_times_power_of_ten(130)
-    inverse = 10 ** (90 + 130) // pi_scaled
-    assert PiPoly({1: 1}).to_decimal(90) == f"0.{inverse:090d}"
-    s_eq0 = 16 * 10 ** (90 + 130) // pi_scaled - 4 * 10**90
+    # the printed 100 places of pi, against the pi that to_fraction uses
+    assert _pi_times_power_of_ten(100) == int(PI_100.replace(".", ""))
+    assert PiPoly({1: 1}).to_fraction() == 1 / Fraction(PI_100)
+    # 90 and 120 places of 1/pi and 90 of 16/pi - 4, against digits from
+    # Gauss's formula (its error of a few units in 10^-150 cannot reach the
+    # 120th place); 120 places need pi beyond its first 100 places
+    pi_scaled = _pi_times_power_of_ten(150)
+    for places in (90, 120):
+        inverse = 10 ** (places + 150) // pi_scaled
+        assert PiPoly({1: 1}).to_decimal(places) == f"0.{inverse:0{places}d}"
+    s_eq0 = 16 * 10 ** (90 + 150) // pi_scaled - 4 * 10**90
     digits = f"{s_eq0 // 10**90}.{s_eq0 % 10**90:090d}"
     assert PiPoly({1: 16, 0: -4}).to_decimal(90) == digits
     assert PiPoly({1: -16, 0: 4}).to_decimal(90) == "-" + digits
-    # pi is known to 100 places only: deeper truncations are refused
-    with pytest.raises(ValueError, match="100 places"):
-        PiPoly({1: 1}).to_decimal(120)
+
+
+def test_golden_approx_decimals():
+    for entry in TABLE + [LINE_EXAMPLE_8]:
+        places = len(entry.approx.partition(".")[2])
+        assert evaluation_pipoly(entry).to_decimal(places) == entry.approx, entry.label
 
 
 def test_generator_series_match_algebra_generators():

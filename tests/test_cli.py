@@ -139,6 +139,14 @@ def test_star_partial_beyond_int_digit_limit(capsys):
     assert Fraction(int(Decimal(num)), int(Decimal(den))) == star_3f2_partial(3, 4000)
 
 
+def test_star_needs_pi_beyond_100_places(capsys):
+    """A_400 exceeds 10^100, so its 12 printed decimals need pi to more
+    than 100 places."""
+    code, out, _ = run(capsys, "star", "--s", "400")
+    assert code == 0
+    assert out.startswith("A_400 = ") and out.splitlines()[0].rpartition(".")[2].isdigit()
+
+
 def test_table_command(capsys):
     code, out, _ = run(capsys, "table", "--max-vertices", "5")
     assert code == 0

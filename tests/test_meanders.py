@@ -42,6 +42,25 @@ def test_parse_and_validate():
         parse_meander("upper: 0+1; lower: 0-1")
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("upper: 0-0; lower: 0-1", NotAMatching, "upper arc 0-0 joins a point to itself"),
+        ("upper: 0-1, 2-3; lower: 0-1", NotAMatching, "lower matching misses points [2, 3]"),
+        ("upper: ; lower: 0-1", MeanderSyntaxError, "empty upper matching"),
+        (
+            "top: 0-1; lower: 0-1",
+            MeanderSyntaxError,
+            "expected side name 'upper' or 'lower', got 'top'",
+        ),
+    ],
+)
+def test_parse_errors(text, error, message):
+    with pytest.raises(error) as caught:
+        parse_meander(text)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_size_below_one_rejected():
     for size in (0, -1):
         with pytest.raises(MeanderSizeError, match=f"got {size}"):

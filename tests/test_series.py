@@ -15,7 +15,6 @@ from catsum.series import (
     catalan,
     catalan_power_coeff,
     generator_series,
-    hypergeom_series,
     series_expand,
 )
 from catsum.trees import (
@@ -32,7 +31,7 @@ from catsum.trees import (
     reroot,
 )
 
-from conftest import random_decorated_tree
+from conftest import hypergeom_series, random_decorated_tree
 
 
 def test_catalan_numbers():

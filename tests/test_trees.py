@@ -290,6 +290,62 @@ def test_parse_decorated():
             parse_decorated(json.dumps(bad))
 
 
+def _vertex(parent=-1, **fields):
+    return {"parent": parent, "color": "white", "rel": "none", "k": 0} | fields
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: parse_decorated("[]"),
+            TreeSchemaError,
+            "expected an object with a 'vertices' array",
+        ),
+        (lambda: parse_decorated({"vertices": [7]}), TreeSchemaError, "vertex 0 is not an object"),
+        (
+            lambda: parse_decorated({"vertices": [{"parent": -1, "color": "white", "rel": "eq"}]}),
+            TreeSchemaError,
+            "vertex 0 is missing field 'k'",
+        ),
+        (
+            lambda: parse_decorated({"vertices": [_vertex(), _vertex(1)]}),
+            TreeSchemaError,
+            "vertex 1: parent 1 must be a smaller index (children after parents)",
+        ),
+        (
+            lambda: parse_decorated({"vertices": [_vertex(k="two")]}),
+            TreeSchemaError,
+            "vertex 0: k is not an integer: 'two'",
+        ),
+        (
+            lambda: parse_decorated({"vertices": [_vertex(k=1.5)]}),
+            TreeSchemaError,
+            "vertex 0: k must be an integer or decimal string",
+        ),
+        (lambda: PlainTree(()), ValueError, "a tree needs at least one vertex"),
+        (lambda: PlainTree((0,)), ValueError, "vertex 0 must be the root (parent -1)"),
+        (
+            lambda: PlainTree((-1, 1)),
+            ValueError,
+            "vertex 1 has invalid parent 1; parents must precede children",
+        ),
+        (lambda: Decoration(2, REL_EQ, 0), ValueError, "invalid color 2"),
+        (lambda: Decoration(WHITE, "lt", 0), ValueError, "invalid relation 'lt'"),
+        (
+            lambda: DecoratedTree((-1, 0), (Decoration(WHITE, REL_EQ, 0),)),
+            ValueError,
+            "decoration count does not match vertex count",
+        ),
+        (lambda: parse_plain("(x)"), TreeSyntaxError, "unexpected character 'x' (at position 1)"),
+    ],
+)
+def test_input_errors(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_decorated_json_roundtrip():
     rng = random.Random(14)
     for _ in range(30):
