@@ -97,18 +97,16 @@ def _cmd_sum(args) -> int:
     value = _engine(args).reduce(tree)
     evaluation = value.eval_quarter()
     closed = value.substitute_sqrt_t().pretty() if args.sqrt_t else value.pretty()
+    pretty, decimal = evaluation.pretty(), evaluation.to_decimal(12)
     payload = {
         "tree": source,
         "closed_form": closed,
         "closed_form_json": value.to_json(),
         "value_at_quarter": evaluation.to_json(),
-        "value_pretty": evaluation.pretty(),
-        "decimal": evaluation.to_decimal(12),
+        "value_pretty": pretty,
+        "decimal": decimal,
     }
-    lines = [
-        f"closed form: {closed}",
-        f"value at 1/4: {evaluation.pretty()} ~ {evaluation.to_decimal(12)}",
-    ]
+    lines = [f"closed form: {closed}", f"value at 1/4: {pretty} ~ {decimal}"]
     _emit(args, payload, lines)
     return OK
 
@@ -157,6 +155,8 @@ def _cmd_meander(args) -> int:
     face_list = faces(meander)
     trees = forest(meander)
     prob = probability(meander, _engine(args))
+    forest_text = [plain_to_text(t) for t in trees]
+    pretty, decimal = prob.pretty(), prob.to_decimal(12)
     payload = {
         "size": meander.size,
         "faces": [
@@ -168,30 +168,26 @@ def _cmd_meander(args) -> int:
             }
             for f in face_list
         ],
-        "forest": [plain_to_text(t) for t in trees],
+        "forest": forest_text,
         "probability": prob.to_json(),
-        "probability_pretty": prob.pretty(),
-        "decimal": prob.to_decimal(12),
+        "probability_pretty": pretty,
+        "decimal": decimal,
     }
     lines = [f"size: {meander.size}", "faces:"]
     for f in face_list:
         kind = "interior" if f.interior else "exterior"
         lines.append(f"  {f.side} arc {f.arc[0]}-{f.arc[1]}: segments {list(f.indices)} ({kind})")
-    lines.append("forest: " + "  ".join(plain_to_text(t) for t in trees))
-    lines.append(f"probability: {prob.pretty()} ~ {prob.to_decimal(12)}")
+    lines.append("forest: " + "  ".join(forest_text))
+    lines.append(f"probability: {pretty} ~ {decimal}")
     _emit(args, payload, lines)
     return OK
 
 
 def _cmd_star(args) -> int:
     value = star_eval(args.s)
-    payload = {
-        "s": args.s,
-        "value": value.to_json(),
-        "value_pretty": value.pretty(),
-        "decimal": value.to_decimal(12),
-    }
-    lines = [f"A_{args.s} = {value.pretty()} ~ {value.to_decimal(12)}"]
+    pretty, decimal = value.pretty(), value.to_decimal(12)
+    payload = {"s": args.s, "value": value.to_json(), "value_pretty": pretty, "decimal": decimal}
+    lines = [f"A_{args.s} = {pretty} ~ {decimal}"]
     if args.s >= 1:
         hom, inhom = star_recurrence_residual(args.s)
         payload["residuals"] = {"homogeneous": hom.to_json(), "inhomogeneous": inhom.to_json()}

@@ -306,12 +306,11 @@ class Engine:
             if deco.shift != 0 and deco.rel in (REL_LE, REL_GE):
                 return "shift-toward-zero", v, self._shift_step(tree, v)
         leaves = tree.leaves
-        # A gray leaf is a bare indicator on its shift.
+        # A gray leaf is a bare indicator on its shift, and it holds here: the
+        # rules above took every nonroot `eq` and every `le`/`ge` shift.
         for v in leaves:
             deco = decos[v]
             if deco.color == GRAY:
-                if not _holds(0, deco.rel, deco.shift):
-                    return "drop-gray-leaf", v, []
                 smaller = without_leaves(with_shift_added(tree, parents[v], deco.shift), (v,))
                 return "drop-gray-leaf", v, [(ONE, (smaller,))]
         # A leaf inequality is void or forces the variable to zero.

@@ -12,6 +12,10 @@ percolation model has this exact shape is
     2^(1-4k) * k * prod over trees of the forest of S(T)(1/4),
 
 an exact polynomial in 1/pi.
+
+One walk along the curve tests for a single loop, so enumeration builds a
+`Meander` only for the pairs of matchings that pass; one stack walk per side
+finds the face owning each segment.
 """
 
 from __future__ import annotations
@@ -55,6 +59,21 @@ class MeanderSizeError(MeanderError):
 Matching = tuple[tuple[int, int], ...]
 
 
+def _single_loop(upper: Matching, lower: Matching) -> bool:
+    """Whether the arcs of two perfect matchings of the same points close
+    into one loop; two empty matchings pass."""
+    up, low = [0] * (2 * len(upper)), [0] * (2 * len(lower))
+    for partner, matching in ((up, upper), (low, lower)):
+        for a, b in matching:
+            partner[a], partner[b] = b, a
+    point, length = 0, 0
+    while length < len(up):
+        point, length = low[up[point]], length + 2
+        if point == 0:
+            break
+    return length == len(up)
+
+
 def _normalize_matching(pairs, n: int, side: str) -> Matching:
     seen: set[int] = set()
     out = []
@@ -90,25 +109,8 @@ class Meander:
         n = 2 * self.size
         object.__setattr__(self, "upper", _normalize_matching(self.upper, n, UPPER))
         object.__setattr__(self, "lower", _normalize_matching(self.lower, n, LOWER))
-        if not self._single_loop():
+        if not _single_loop(self.upper, self.lower):
             raise MultipleLoops("the two matchings do not form a single loop")
-
-    def _single_loop(self) -> bool:
-        up = {}
-        low = {}
-        for a, b in self.upper:
-            up[a], up[b] = b, a
-        for a, b in self.lower:
-            low[a], low[b] = b, a
-        point, above = 0, True
-        visited = 0
-        while True:
-            point = up[point] if above else low[point]
-            above = not above
-            visited += 1
-            if point == 0 and above:
-                break
-        return visited == 2 * self.size
 
     def reflected(self) -> "Meander":
         """Left-right mirror image: relabel i -> 2k-1-i."""
@@ -175,10 +177,16 @@ def faces(meander: Meander) -> list[Face]:
     out = []
     for side, matching in ((UPPER, meander.upper), (LOWER, meander.lower)):
         owner: dict[tuple[int, int], list[int]] = {arc: [] for arc in matching}
+        right = dict(matching)
+        # The arcs open over segment i form a stack, the innermost on top.
+        open_arcs: list[tuple[int, int]] = []
         for i in range(2 * meander.size - 1):
-            arc = _innermost_cover(matching, i)
-            if arc is not None:
-                owner[arc].append(i)
+            if i in right:
+                open_arcs.append((i, right[i]))
+            else:
+                open_arcs.pop()
+            if open_arcs:
+                owner[open_arcs[-1]].append(i)
         for arc in matching:
             indices = tuple(owner[arc])
             assert indices, f"face of arc {arc} owns no segment"
@@ -190,16 +198,6 @@ def faces(meander: Meander) -> list[Face]:
         uncovered -= set(face.indices)
     assert not uncovered, f"segments {sorted(uncovered)} touch no bounded face"
     return out
-
-
-def _innermost_cover(matching: Matching, segment: int):
-    """The innermost arc (a,b) with a <= segment < b, or None."""
-    best = None
-    for a, b in matching:
-        if a <= segment < b:
-            if best is None or b - a < best[1] - best[0]:
-                best = (a, b)
-    return best
 
 
 def forest(meander: Meander) -> list[PlainTree]:
@@ -276,33 +274,21 @@ def probability(meander: Meander, engine: Engine | None = None) -> PiPoly:
 def enumerate_meanders(k: int) -> list[Meander]:
     """All meanders of size k (pairs of non-crossing matchings forming one loop)."""
     matchings = noncrossing_matchings(2 * k)
-    out = []
-    for up in matchings:
-        for low in matchings:
-            try:
-                out.append(Meander(k, up, low))
-            except MultipleLoops:
-                continue
-    return out
+    return [Meander(k, up, low) for up in matchings for low in matchings if _single_loop(up, low)]
 
 
 def noncrossing_matchings(n: int) -> list[Matching]:
     """All non-crossing perfect matchings of 0..n-1 (Catalan(n/2) of them)."""
-    if n % 2:
-        return []
+    return [] if n % 2 else _matchings(0, n)
 
-    def rec(points: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
-        if not points:
-            return [()]
-        first = points[0]
-        out = []
-        for idx in range(1, len(points), 2):
-            partner = points[idx]
-            inside = points[1:idx]
-            outside = points[idx + 1 :]
-            for m1 in rec(inside):
-                for m2 in rec(outside):
-                    out.append(((first, partner),) + m1 + m2)
-        return out
 
-    return [tuple(sorted(m)) for m in rec(tuple(range(n)))]
+def _matchings(lo: int, hi: int) -> list[Matching]:
+    """The non-crossing perfect matchings of lo..hi-1, each with its arcs sorted."""
+    if lo >= hi:
+        return [()]
+    return [
+        ((lo, partner),) + inside + outside
+        for partner in range(lo + 1, hi, 2)
+        for inside in _matchings(lo + 1, partner)
+        for outside in _matchings(partner + 1, hi)
+    ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .algebra import L_ONE, L_ZERO, AlgebraElement, Laurent, _joined, _power, _reduced, _term
 from .trees import GRAY, DecoratedTree, PlainTree, REL_NONE
@@ -219,26 +219,31 @@ def brute_force_decorated(
             coeffs[0] = 1
         return TruncatedSeries(coeffs, order)
 
+    # Depth-first over the weights, one budget unit per visited node and per
+    # check.  A stack entry is (variable, weight left, product of the Catalan
+    # numbers so far, weight to try next); the last variable's weights are
+    # summed in place.
     weights = [0] * len(post)
-
-    def assign(idx: int, remaining: int, product: int):
-        counter.spend()
-        if idx == len(post):
-            coeffs[order - remaining] += product
-            return
-        for w in range(remaining + 1):
+    last = len(post) - 1
+    counter.spend()
+    stack = [(0, order, 1, 0)]
+    while stack:
+        idx, remaining, product, start = stack.pop()
+        checks = checks_at[idx + 1]
+        for w in range(start, remaining + 1):
             weights[idx] = w
-            ok = True
-            for signed, rel, k in checks_at[idx + 1]:
+            for signed, rel, k in checks:
                 counter.spend()
-                lhs = sum(sign * weights[i] for i, sign in signed)
-                if not _holds(lhs, rel, k):
-                    ok = False
+                if not _holds(sum(sign * weights[i] for i, sign in signed), rel, k):
                     break
-            if ok:
-                assign(idx + 1, remaining - w, product * catalan(w))
-
-    assign(0, order, 1)
+            else:
+                counter.spend()
+                if idx == last:
+                    coeffs[order - remaining + w] += product * catalan(w)
+                else:
+                    stack.append((idx, remaining, product, w + 1))
+                    stack.append((idx + 1, remaining - w, product * catalan(w), 0))
+                    break
     return TruncatedSeries(coeffs, order)
 
 
@@ -275,29 +280,28 @@ def brute_force_edge(tree: PlainTree, order: int, budget: int = DEFAULT_BUDGET) 
     n_edges = len(edges) + (1 if tree.half_edge else 0)
 
     coeffs = [0] * (order + 1)
-    x = [0] * n_edges
-
-    def vertex_weight(v: int) -> int:
-        return sum(x[e] for e in incidence[v])
-
-    def assign(e: int, degree_left: int):
-        counter.spend()
-        if e == n_edges:
-            total = sum(vertex_weight(v) for v in range(n))
-            product = 1
-            for v in range(n):
-                product *= catalan(vertex_weight(v))
-            coeffs[total] += product
-            return
-        # A normal edge adds 2x to the total degree, the half-edge adds x.
-        step = 1 if e == half_index else 2
-        for w in range(degree_left // step + 1):
-            x[e] = w
-            assign(e + 1, degree_left - step * w)
-        x[e] = 0
-
-    if n == 1 and not tree.half_edge:
+    if n_edges == 0:
         coeffs[0] = 1
         return TruncatedSeries(coeffs, order)
-    assign(0, order)
+
+    # Depth-first over the edge weights, one budget unit per visited node.  A
+    # stack entry is (edge, degree left, weight to try next); the last edge's
+    # weights are summed in place.
+    x = [0] * n_edges
+    counter.spend()
+    stack = [(0, order, 0)]
+    while stack:
+        e, degree_left, start = stack.pop()
+        # A normal edge adds 2x to the total degree, the half-edge adds x.
+        step = 1 if e == half_index else 2
+        for w in range(start, degree_left // step + 1):
+            x[e] = w
+            counter.spend()
+            if e == n_edges - 1:
+                degrees = [sum(x[i] for i in incidence[v]) for v in range(n)]
+                coeffs[sum(degrees)] += prod(catalan(d) for d in degrees)
+            else:
+                stack.append((e, degree_left, w + 1))
+                stack.append((e + 1, degree_left - step * w, 0))
+                break
     return TruncatedSeries(coeffs, order)

@@ -278,3 +278,33 @@ def test_north_star_no_unused_imports_and_pinned_exports():
     ]
     assert all(hasattr(catsum, name) for name in catsum.__all__)
     print("NORTH STAR: PASS - no unused imports, public surface pinned")
+
+
+def test_north_star_recursion_pinned():
+    """Every function that calls itself, directly or as `self.name`, has a
+    depth bounded independently of the input tree's size; anything that walks
+    a tree or an enumeration uses an explicit stack instead."""
+    package = Path(catsum.__file__).parent
+    recursive = set()
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                callee = getattr(node, "func", None)
+                if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
+                    name = callee.attr if callee.value.id in ("self", "cls") else None
+                else:
+                    name = getattr(callee, "id", None)
+                if name == fn.name:
+                    recursive.add((path.name, fn.name))
+    assert recursive == {
+        # ge/le call eq and none, which return without recursing: depth 2
+        ("engine.py", "base_sum"),
+        # hypergeom_hk fills the cache bottom-up first, so one level at most
+        ("algebra.py", "_hk"),
+        # depth n/2 on n points; the Catalan(n/2) matchings exhaust memory
+        # long before that nears the recursion limit
+        ("meanders.py", "_matchings"),
+    }
+    print("NORTH STAR: PASS - self-recursion pinned to bounded-depth functions")

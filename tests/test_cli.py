@@ -5,6 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from catsum.cli import main
+from catsum.series import TruncatedSeries
 from catsum.stars import star_3f2_partial
 from catsum.trees import canonical_decorate, canonical_key, parse_plain
 from catsum.table_data import TABLE
@@ -176,6 +177,24 @@ def test_oracle_budget_env(monkeypatch, capsys):
     monkeypatch.delenv("CATSUM_ORACLE_BUDGET")
     code, _, _ = run(capsys, "verify", "((())())", "--order", "8")
     assert code == 0
+
+
+def test_oracle_mismatch_exits_1(monkeypatch, capsys):
+    import catsum.cli
+
+    wrong = TruncatedSeries([1, 0, 3])
+    monkeypatch.setattr(catsum.cli, "brute_force_decorated", lambda *args, **kwargs: wrong)
+    code, out, _ = run(capsys, "verify", "(())", "--order", "2")
+    assert code == 1
+    assert out == "MISMATCH: engine vs oracle at order 2\nengine: 1 + t^2\noracle: 1 + 3*t^2\n"
+    code, out, _ = run(capsys, "series", "(())", "--order", "2", "--oracle")
+    assert code == 1
+    assert out == "series: 1 + t^2\noracle: MISMATCH: 1 + 3*t^2\n"
+    for verb in ("verify", "series --oracle"):
+        code, out, _ = run(capsys, "--json", *verb.split(), "(())", "--order", "2")
+        assert code == 1
+        blob = json.loads(out)
+        assert blob["match"] is False and blob["oracle"] == ["1", "0", "3"]
 
 
 def test_cycle_budget_exhausted_is_a_typed_error(monkeypatch, capsys):

@@ -49,6 +49,11 @@ def test_parse_and_validate():
         ("upper: 0-1, 2-3; lower: 0-1", NotAMatching, "lower matching misses points [2, 3]"),
         ("upper: ; lower: 0-1", MeanderSyntaxError, "empty upper matching"),
         (
+            "upper: 0-1; upper: 0-1",
+            MeanderSyntaxError,
+            "need exactly one upper and one lower matching",
+        ),
+        (
             "top: 0-1; lower: 0-1",
             MeanderSyntaxError,
             "expected side name 'upper' or 'lower', got 'top'",

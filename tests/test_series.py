@@ -1,6 +1,7 @@
 """Truncated series arithmetic and the brute-force oracles."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from catsum.trees import (
     WHITE,
     Decoration,
     DecoratedTree,
+    PlainTree,
     REL_EQ,
     REL_NONE,
     canonical_decorate,
@@ -237,6 +239,29 @@ def test_budget_guard():
         brute_force_decorated(tree, 10, budget=50)
     with pytest.raises(BudgetExceededError):
         brute_force_edge(parse_plain("((())(())())"), 10, budget=10)
+    # One unit per visited node and per check: exact totals, and a budget
+    # one unit short raises.
+    plain = parse_plain("((())(())())")
+    half = parse_plain("halfedge:((())())")
+    for oracle, tree, order, total in (
+        (brute_force_decorated, canonical_decorate(plain), 10, 6726),
+        (brute_force_decorated, canonical_decorate(half), 9, 916),
+        (brute_force_edge, plain, 10, 462),
+        (brute_force_edge, half, 9, 196),
+    ):
+        oracle(tree, order, budget=total)
+        with pytest.raises(BudgetExceededError):
+            oracle(tree, order, budget=total - 1)
+
+
+def test_oracles_walk_long_paths_without_recursion():
+    n = sys.getrecursionlimit() + 100
+    all_eq = DecoratedTree(
+        tuple(range(-1, n - 1)), tuple(Decoration(WHITE, REL_EQ, 0) for _ in range(n))
+    )
+    assert brute_force_decorated(all_eq, 2).coeffs == [1, 0, 0]
+    path = PlainTree(tuple(range(-1, n - 1)))
+    assert brute_force_edge(path, 0).coeffs == [1]
 
 
 def test_oracle_root_choice_irrelevant():
