@@ -4,7 +4,7 @@ Subcommands:
 
   sum <tree>                    closed form and exact value at 1/4
   series <tree> --order N      engine expansion, optionally checked against
-                                the brute-force oracle
+                                the summation oracle
   verify <tree> --order N       exit 0 iff engine and oracle agree
   meander --upper .. --lower .. faces, face forest and exact shape probability
   star --s S [--partial N]      star values, recurrence residuals, partial sums
@@ -207,9 +207,10 @@ def _cmd_table(args) -> int:
     results = []
     failures = 0
     for entry in TABLE:
-        if len(parse_plain(entry.tree_text)) > args.max_vertices:
+        plain = parse_plain(entry.tree_text)
+        if len(plain) > args.max_vertices:
             continue
-        tree = canonical_decorate(parse_plain(entry.tree_text))
+        tree = canonical_decorate(plain)
         value = engine.reduce(tree)
         ok_closed = value == closed_form_element(entry)
         ok_eval = value.eval_quarter() == evaluation_pipoly(entry)

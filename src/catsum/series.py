@@ -1,24 +1,26 @@
-"""Truncated power series over Q and the brute-force summation oracle.
+"""Truncated power series over Q and the summation oracles.
 
 A `TruncatedSeries` holds one `algebra.Laurent` with exponents in 0..N,
 the exact coefficients of t^0 .. t^N, so its arithmetic is that of
 `Laurent`, truncated once per result.  The module also expands algebra
 elements into series (one truncated sum over the generator series of H1,
 H2 and s, which like the Catalan series C have explicit coefficient
-formulas) and computes tree sums directly from their defining summations
-by exhaustive enumeration.  The enumeration is exponential in the tree
-size and is the independent ground truth everything else is checked
-against.
+formulas) and computes tree sums directly from their defining summations,
+the independent ground truth everything else is checked against.  Over
+vertex variables a postorder tree DP does it in O(n * N^4) on n vertices
+at order N; over edge variables an exhaustive enumeration, exponential in
+the tree size.  Neither shares code with the engine.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
 
 from .algebra import L_ONE, L_ZERO, AlgebraElement, Laurent, _joined, _power, _reduced, _term
-from .trees import GRAY, DecoratedTree, PlainTree, REL_NONE
+from .trees import GRAY, DecoratedTree, PlainTree
 
 DEFAULT_BUDGET = 10**8
 
@@ -28,7 +30,7 @@ class NegativePowerResidue(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """The brute-force enumeration exceeded its work budget."""
+    """A summation oracle exceeded its work budget."""
 
 
 @lru_cache(maxsize=None)
@@ -176,74 +178,45 @@ class _Budget:
 def brute_force_decorated(
     tree: DecoratedTree, order: int, budget: int = DEFAULT_BUDGET
 ) -> TruncatedSeries:
-    """Tree sum by direct enumeration of the vertex variables.
+    """Tree sum from its defining summation over the vertex variables.
 
     The coefficient of t^n is the sum, over assignments of nonnegative
     weights to the non-gray vertices with total n that satisfy every vertex
-    condition, of the product of the Catalan numbers of the weights.
-    Conditions are checked as soon as all variables under them are assigned,
-    walking the non-gray vertices in postorder.
+    condition, of the product of the Catalan numbers of the weights.  A
+    postorder tree DP computes it: each vertex holds the table
+    {(signed subtree sum, degree): count} of its subtree's assignments, a
+    white or black vertex starting from {(±w, w): Cat_w} and a gray one from
+    {(0, 0): 1}.  Children merge by convolution truncated at `order` (one
+    budget unit per pair of entries merged), and the vertex condition then
+    keeps the signed sums that satisfy it against the subtree's shift sum.
+    Tables have O(order^2) entries, so the cost is O(n * order^4) on n
+    vertices.  Shares no code with the engine.
     """
     counter = _Budget(budget)
-    n_vertices = len(tree.parents)
-    nongray = [v for v in range(n_vertices) if tree.decos[v].color != GRAY]
-    post = [v for v in tree.postorder() if tree.decos[v].color != GRAY]
-    position = {v: i for i, v in enumerate(post)}
     kappa = tree.shift_sums()
-
-    # Schedule each non-void condition at the step where its last non-gray
-    # descendant gets a value; conditions over gray-only subtrees are constant.
-    checks_at: list[list[tuple[list[tuple[int, int]], str, int]]] = [
-        [] for _ in range(len(post) + 1)
-    ]
-    constant_factor = 1
-    for v in range(n_vertices):
+    tables: dict[int, dict[tuple[int, int], int]] = {}
+    for v in tree.postorder():
         deco = tree.decos[v]
-        if deco.rel == REL_NONE:
-            continue
-        signed = [
-            (position[u], tree.decos[u].color)
-            for u in tree.subtree(v)
-            if tree.decos[u].color != GRAY
-        ]
-        if not signed:
-            if not _holds(0, deco.rel, kappa[v]):
-                constant_factor = 0
-            continue
-        slot = max(i for i, _ in signed) + 1
-        checks_at[slot].append((signed, deco.rel, kappa[v]))
-
+        if deco.color == GRAY:
+            table = {(0, 0): 1}
+        else:
+            table = {(deco.color * w, w): catalan(w) for w in range(order + 1)}
+        for child in tree.children[v]:
+            # The child's entries by degree, so each of ours pairs with a prefix.
+            below = sorted(tables.pop(child).items(), key=lambda item: item[0][1])
+            degrees = [degree for (_, degree), _ in below]
+            merged: dict[tuple[int, int], int] = {}
+            for (lsum, ldeg), lcount in table.items():
+                fits = bisect_right(degrees, order - ldeg)
+                counter.spend(fits)
+                for (rsum, rdeg), rcount in below[:fits]:
+                    key = (lsum + rsum, ldeg + rdeg)
+                    merged[key] = merged.get(key, 0) + lcount * rcount
+            table = merged
+        tables[v] = {key: n for key, n in table.items() if _holds(key[0], deco.rel, kappa[v])}
     coeffs = [0] * (order + 1)
-    if constant_factor == 0 or not nongray:
-        if constant_factor and not nongray:
-            coeffs[0] = 1
-        return TruncatedSeries(coeffs, order)
-
-    # Depth-first over the weights, one budget unit per visited node and per
-    # check.  A stack entry is (variable, weight left, product of the Catalan
-    # numbers so far, weight to try next); the last variable's weights are
-    # summed in place.
-    weights = [0] * len(post)
-    last = len(post) - 1
-    counter.spend()
-    stack = [(0, order, 1, 0)]
-    while stack:
-        idx, remaining, product, start = stack.pop()
-        checks = checks_at[idx + 1]
-        for w in range(start, remaining + 1):
-            weights[idx] = w
-            for signed, rel, k in checks:
-                counter.spend()
-                if not _holds(sum(sign * weights[i] for i, sign in signed), rel, k):
-                    break
-            else:
-                counter.spend()
-                if idx == last:
-                    coeffs[order - remaining + w] += product * catalan(w)
-                else:
-                    stack.append((idx, remaining, product, w + 1))
-                    stack.append((idx + 1, remaining - w, product * catalan(w), 0))
-                    break
+    for (_, degree), count in tables[0].items():
+        coeffs[degree] += count
     return TruncatedSeries(coeffs, order)
 
 

@@ -166,10 +166,6 @@ class DecoratedTree:
         children = self.children
         return tuple(v for v in range(1, len(children)) if not children[v])
 
-    def subtree(self, v: int) -> list[int]:
-        """Vertices of the fringe subtree at v, in preorder."""
-        return _preorder(self.children, v)[0]
-
     def postorder(self) -> list[int]:
         """Children before parents, siblings in index order."""
         # Reversed, a postorder visits each vertex before its subtrees and

@@ -1,5 +1,6 @@
-"""Shared helpers: random decorated trees, star builders, sum-expression
-evaluation through the brute-force oracle, the raw 2F1 series."""
+"""Shared helpers: random decorated trees, two-vertex and star builders,
+sum-expression evaluation through the oracle, the exhaustive enumeration of
+the vertex variables and the raw 2F1 series."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from catsum.series import TruncatedSeries, brute_force_decorated, series_expand
+from catsum.series import TruncatedSeries, _holds, brute_force_decorated, catalan, series_expand
 from catsum.trees import (
     BLACK,
     GRAY,
@@ -35,6 +36,15 @@ def random_decorated_tree(rng, max_vertices=7, max_nongray=6, kmin=-2, kmax=2):
             color = GRAY
         decos.append(Decoration(color, rng.choice(RELATIONS), rng.randint(kmin, kmax)))
     return DecoratedTree(tuple(parents), tuple(decos))
+
+
+def two_vertex(rel, shift, root_color=WHITE) -> DecoratedTree:
+    """A root with the given condition over one relation-free leaf of the
+    other colour (white under a gray root)."""
+    leaf_color = BLACK if root_color == WHITE else WHITE
+    return DecoratedTree(
+        (-1, 0), (Decoration(root_color, rel, shift), Decoration(leaf_color, REL_NONE, 0))
+    )
 
 
 def long_star_tree(i, j, k, rel, shift, center_color=GRAY) -> DecoratedTree:
@@ -86,3 +96,64 @@ def shared_engine():
     from catsum.engine import Engine
 
     return Engine()
+
+
+def enumerate_decorated(tree: DecoratedTree, order: int) -> TruncatedSeries:
+    """Tree sum by exhaustive enumeration of the vertex variables: the
+    reference for `brute_force_decorated`, exponential in the number of
+    non-gray vertices.
+
+    Conditions are checked as soon as all variables under them are assigned,
+    walking the non-gray vertices in postorder.
+    """
+    post = [v for v in tree.postorder() if tree.decos[v].color != GRAY]
+    kappa = tree.shift_sums()
+    # The (variable index, colour) pairs of the non-gray vertices under each
+    # vertex, itself included.
+    signed_under = [[] for _ in tree.parents]
+    for i, u in enumerate(post):
+        a = u
+        while a >= 0:
+            signed_under[a].append((i, tree.decos[u].color))
+            a = tree.parents[a]
+
+    # Schedule each condition at the step where its last non-gray descendant
+    # gets a value; conditions over gray-only subtrees are constant.
+    checks_at = [[] for _ in range(len(post) + 1)]
+    for v, deco in enumerate(tree.decos):
+        if deco.rel == REL_NONE:
+            continue
+        signed = signed_under[v]
+        if not signed:
+            if not _holds(0, deco.rel, kappa[v]):
+                return TruncatedSeries([0] * (order + 1), order)
+            continue
+        slot = max(i for i, _ in signed) + 1
+        checks_at[slot].append((signed, deco.rel, kappa[v]))
+
+    coeffs = [0] * (order + 1)
+    if not post:
+        coeffs[0] = 1
+        return TruncatedSeries(coeffs, order)
+    # Depth-first over the weights.  A stack entry is (variable, weight left,
+    # product of the Catalan numbers so far, weight to try next); the last
+    # variable's weights are summed in place.
+    weights = [0] * len(post)
+    last = len(post) - 1
+    stack = [(0, order, 1, 0)]
+    while stack:
+        idx, remaining, product, start = stack.pop()
+        checks = checks_at[idx + 1]
+        for w in range(start, remaining + 1):
+            weights[idx] = w
+            if all(
+                _holds(sum(sign * weights[i] for i, sign in signed), rel, k)
+                for signed, rel, k in checks
+            ):
+                if idx == last:
+                    coeffs[order - remaining + w] += product * catalan(w)
+                else:
+                    stack.append((idx, remaining, product, w + 1))
+                    stack.append((idx + 1, remaining - w, product * catalan(w), 0))
+                    break
+    return TruncatedSeries(coeffs, order)

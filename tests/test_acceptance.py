@@ -187,6 +187,24 @@ def test_criterion_10_edge_vs_vertex_oracles():
     print("ACCEPTANCE 10: PASS - edge and vertex oracles agree on all small trees")
 
 
+def test_criterion_11_exhaustive_free_tree_sweep():
+    """Every free tree up to 8 vertices at every root, with and without the
+    half-edge (368 rooted trees at n = 8): engine == oracle, and the value at
+    t = 1/4 has degree at most nongray // 2 in 1/pi."""
+    count = 0
+    for n in range(1, 9):
+        for plain in enumerate_free_trees(n):
+            for root in range(n):
+                for half_edge in (False, True):
+                    tree = canonical_decorate(reroot(plain, root, half_edge=half_edge))
+                    value = ENGINE.reduce(tree)
+                    assert series_expand(value, 12) == brute_force_decorated(tree, 12), tree
+                    evaluation = value.eval_quarter()
+                    assert evaluation.is_zero() or evaluation.degree() <= tree.nongray_count // 2
+                    count += 1
+    print(f"ACCEPTANCE 11: PASS - {count} rooted free trees up to 8 vertices match the oracle")
+
+
 def test_north_star_no_eval_and_stdlib_only():
     modules = sorted(Path(catsum.__file__).parent.glob("*.py"))
     assert len(modules) >= 9

@@ -31,16 +31,9 @@ from catsum.trees import (
     parse_plain,
 )
 
-from conftest import long_star_tree, random_decorated_tree, sumexpr_series
+from conftest import long_star_tree, random_decorated_tree, sumexpr_series, two_vertex
 
 S0 = base_sum(REL_EQ, 0)
-
-
-def two_vertex(rel, shift, root_color=WHITE):
-    leaf_color = BLACK if root_color == WHITE else WHITE
-    return DecoratedTree(
-        (-1, 0), (Decoration(root_color, rel, shift), Decoration(leaf_color, REL_NONE, 0))
-    )
 
 
 # -- base cases ----------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Truncated series arithmetic and the brute-force oracles."""
+"""Truncated series arithmetic and the tree-sum oracles."""
 
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,9 +19,11 @@ from catsum.series import (
     generator_series,
     series_expand,
 )
+from catsum.table_data import LINE_EXAMPLE_8, TABLE
 from catsum.trees import (
     BLACK,
     GRAY,
+    RELATIONS,
     WHITE,
     Decoration,
     DecoratedTree,
@@ -33,7 +36,13 @@ from catsum.trees import (
     reroot,
 )
 
-from conftest import hypergeom_series, random_decorated_tree
+from conftest import (
+    enumerate_decorated,
+    hypergeom_series,
+    long_star_tree,
+    random_decorated_tree,
+    two_vertex,
+)
 
 
 def test_catalan_numbers():
@@ -239,13 +248,14 @@ def test_budget_guard():
         brute_force_decorated(tree, 10, budget=50)
     with pytest.raises(BudgetExceededError):
         brute_force_edge(parse_plain("((())(())())"), 10, budget=10)
-    # One unit per visited node and per check: exact totals, and a budget
+    # One unit per pair of table entries merged within the order (vertex
+    # oracle) or per visited node (edge oracle): exact totals, and a budget
     # one unit short raises.
     plain = parse_plain("((())(())())")
     half = parse_plain("halfedge:((())())")
     for oracle, tree, order, total in (
-        (brute_force_decorated, canonical_decorate(plain), 10, 6726),
-        (brute_force_decorated, canonical_decorate(half), 9, 916),
+        (brute_force_decorated, canonical_decorate(plain), 10, 1160),
+        (brute_force_decorated, canonical_decorate(half), 9, 400),
         (brute_force_edge, plain, 10, 462),
         (brute_force_edge, half, 9, 196),
     ):
@@ -262,6 +272,49 @@ def test_oracles_walk_long_paths_without_recursion():
     assert brute_force_decorated(all_eq, 2).coeffs == [1, 0, 0]
     path = PlainTree(tuple(range(-1, n - 1)))
     assert brute_force_edge(path, 0).coeffs == [1]
+
+
+def test_decorated_oracle_is_linear_on_long_paths():
+    """On the all-`eq` white path at order 2 each vertex keeps only the
+    entry (0, 0), so every edge merges 3 pairs: 3 * 3,999 units in all."""
+    n = 4000
+    all_eq = DecoratedTree(
+        tuple(range(-1, n - 1)), tuple(Decoration(WHITE, REL_EQ, 0) for _ in range(n))
+    )
+    assert brute_force_decorated(all_eq, 2, budget=11997).coeffs == [1, 0, 0]
+    with pytest.raises(BudgetExceededError):
+        brute_force_decorated(all_eq, 2, budget=11996)
+
+
+def test_decorated_oracle_matches_enumeration_on_random_trees():
+    rng = random.Random(11)
+    for trial in range(400):
+        tree = random_decorated_tree(rng, max_vertices=7, kmin=-3, kmax=3)
+        for order in (0, 1, 10):
+            expected = enumerate_decorated(tree, order)
+            assert brute_force_decorated(tree, order) == expected, (trial, order)
+
+
+def test_decorated_oracle_matches_enumeration_on_golden_trees():
+    for entry in TABLE + [LINE_EXAMPLE_8]:
+        for text in (entry.tree_text, "halfedge:" + entry.tree_text):
+            tree = canonical_decorate(parse_plain(text))
+            assert brute_force_decorated(tree, 12) == enumerate_decorated(tree, 12), text
+
+
+def test_decorated_oracle_matches_enumeration_on_two_vertex_trees():
+    for rel, k, root_color in product(RELATIONS, range(-5, 6), (WHITE, BLACK, GRAY)):
+        tree = two_vertex(rel, k, root_color)
+        assert brute_force_decorated(tree, 8) == enumerate_decorated(tree, 8), (rel, k, root_color)
+
+
+def test_decorated_oracle_matches_enumeration_on_long_stars():
+    branches = [(i, j, k) for i in range(4) for j in range(4 - i) for k in range(4 - i - j)]
+    colors = (GRAY, WHITE, BLACK)
+    for (i, j, k), rel, shift, center in product(branches, RELATIONS, (-1, 0, 2), colors):
+        tree = long_star_tree(i, j, k, rel, shift, center)
+        expected = enumerate_decorated(tree, 6)
+        assert brute_force_decorated(tree, 6) == expected, (i, j, k, rel, shift, center)
 
 
 def test_oracle_root_choice_irrelevant():
