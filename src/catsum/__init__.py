@@ -10,7 +10,6 @@ from .algebra import (
     Laurent,
     PiPoly,
     catalan_gf,
-    gauss_value_hk,
     hypergeom_hk,
 )
 from .engine import Engine, base_sum, height_zero_sum
@@ -54,7 +53,6 @@ __all__ = [
     "catalan",
     "catalan_gf",
     "classify_fringe",
-    "gauss_value_hk",
     "generator_series",
     "height_zero_sum",
     "hypergeom_hk",

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 
 def _frac(x) -> Fraction:
@@ -287,8 +287,8 @@ class AlgebraElement:
         return cls({(0, 0, 0): Laurent.const(q)})
 
     @classmethod
-    def monomial(cls, a: int, b: int, c: int, coeff: Laurent = L_ONE) -> "AlgebraElement":
-        return cls({(a, b, c): coeff})
+    def monomial(cls, a: int, b: int, c: int) -> "AlgebraElement":
+        return cls({(a, b, c): L_ONE})
 
     # -- ring structure -------------------------------------------------
 
@@ -558,17 +558,6 @@ def _hk(k: int) -> AlgebraElement:
     # divide by (m+1/2)(m+5/2)/((m+1)(m+2)) and by z = 16 t^2
     factor = Fraction(m + 1) * (m + 2) / (Fraction(2 * m + 1, 2) * Fraction(2 * m + 5, 2))
     return rhs.scale(factor * Fraction(1, 16)).shift_t(-2)
-
-
-def gauss_value_hk(k: int) -> "PiPoly":
-    """Exact value of 2F1(-1/2, K-1/2; K+1; 1) as a rational multiple of 1/pi.
-
-    Gamma(K+1)Gamma(2)/(Gamma(K+3/2)Gamma(3/2)) = 4^(K+1) (K!)^2 / (2K+1)! * (1/pi).
-    """
-    if k < 0:
-        raise ValueError("K must be nonnegative")
-    coeff = Fraction(4 ** (k + 1) * factorial(k) ** 2, factorial(2 * k + 1))
-    return PiPoly({1: coeff})
 
 
 _PI_PLACES = 100  # places of pi behind `to_fraction`, and the first `to_decimal` tries

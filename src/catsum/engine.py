@@ -194,8 +194,7 @@ class Engine:
     `reduce` rewrote with `step`, over all calls; a memo hit costs none.
     """
 
-    def __init__(self, memoize: bool = True, max_cycles: int = 10**5, trace=None):
-        self.memoize = memoize
+    def __init__(self, max_cycles: int = 10**5, trace=None):
         self.max_cycles = max_cycles
         self.trace = trace
         self.memo: dict[bytes, AlgebraElement] = {}
@@ -204,7 +203,7 @@ class Engine:
     # -- public entry points ----------------------------------------------
 
     def reduce(self, tree: DecoratedTree) -> AlgebraElement:
-        memo, memoize = self.memo, self.memoize
+        memo = self.memo
         # The trees on the reduction stack, by canonical key.  Cycle detection
         # compares exact indexed trees: a color-symmetric tree shares its
         # canonical key with its own color swap, which the driver may
@@ -219,7 +218,7 @@ class Engine:
             if todo:
                 tree = todo.pop()
                 key = canonical_key(tree)
-                if memoize and key in memo:
+                if key in memo:
                     values.append(memo[key])
                     continue
                 trees = on_stack.setdefault(key, [])
@@ -246,8 +245,7 @@ class Engine:
                     term = term * next(reduced)
                 total = total + term
             on_stack[key].pop()
-            if memoize:
-                memo[key] = total
+            memo[key] = total
             frames[-1][3].append(total)
 
     def step(self, tree: DecoratedTree) -> tuple[str, int, SumExpr]:

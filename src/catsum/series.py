@@ -192,6 +192,8 @@ def brute_force_decorated(
     Tables have O(order^2) entries, so the cost is O(n * order^4) on n
     vertices.  Shares no code with the engine.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     counter = _Budget(budget)
     kappa = tree.shift_sums()
     tables: dict[int, dict[tuple[int, int], int]] = {}
@@ -237,6 +239,8 @@ def brute_force_edge(tree: PlainTree, order: int, budget: int = DEFAULT_BUDGET) 
     present); each vertex contributes Cat_{X_v} t^{X_v} with X_v the sum of
     the weights of its incident edges.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     counter = _Budget(budget)
     n = len(tree.parents)
     # Edge list: (child vertex) encodes the edge to its parent; the half-edge

@@ -65,28 +65,6 @@ def star_recurrence_residual(s: int) -> tuple[PiPoly, PiPoly]:
     return homogeneous, inhomogeneous
 
 
-def star_eval_crosscheck_bc(s: int) -> PiPoly:
-    """Value of the star with s+3 leaves through the explicit pair (B_s, C_s)
-    with A_{s+3} = B_s * (4/pi) - C_s * (8/(3 pi)).
-
-    Validated at t = 1/4 only; the (B_s, C_s) pair does not describe the full
-    power series (its value at t = 0 is off), so this module never uses it
-    away from 1/4.
-    """
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    sum_b = sum(
-        Fraction((k + 1) * (4 * k + 9) * comb(2 * k + 2, k + 1), 2**k) for k in range(s + 1)
-    )
-    sum_c = sum(
-        Fraction((k + 1) * (4 * k + 13) * comb(2 * k + 2, k + 1), 2**k) for k in range(s + 1)
-    )
-    shared = Fraction(4**s * (s * s + 5 * s + 7), (s + 1) * (s + 2) * (s + 3) * comb(2 * s + 5, s + 2))
-    b = Fraction((5 * s + 11) * 2 ** (s + 1), 2 * s + 5) + 4 * shared * sum_b
-    c = Fraction(3 * (s - 1) * 2**s, 2 * s + 5) + 6 * shared * sum_c
-    return PiPoly({1: b * 4 - c * Fraction(8, 3)})
-
-
 def star_3f2_partial(s: int, terms: int) -> Fraction:
     """Exact partial sum of sum_n Cat_n [t^n]C(t)^s 16^(-n), the hypergeometric
     series converging (monotonically from below) to A_s.

@@ -17,8 +17,10 @@ before its parent (the AHU tree-isomorphism encoding).  Trees are
 immutable; every structural edit returns a new tree, laid out in preorder.
 One preorder walk (`_preorder`) lays out every tree built from child lists,
 and one breadth-first walk (`_rooted`) roots every adjacency graph for
-rerooting, centroids and free-tree enumeration.  Every walk over a tree is
-a loop, so deep trees need no recursion.
+rerooting, centroids and free-tree enumeration.  A free tree's canonical
+form is its parenthesis text from the canonical centroid with sorted
+children, and its canonical layout is that text read back by `parse_plain`.
+Every walk over a tree is a loop, so deep trees need no recursion.
 """
 
 from __future__ import annotations
@@ -297,20 +299,6 @@ def parse_decorated(data) -> DecoratedTree:
         parents.append(parent)
         decos.append(Decoration(COLOR_VALUES[color], rel, shift))
     return DecoratedTree(tuple(parents), tuple(decos))
-
-
-def decorated_to_json(tree: DecoratedTree) -> dict:
-    return {
-        "vertices": [
-            {
-                "parent": tree.parents[v],
-                "color": COLOR_NAMES[tree.decos[v].color],
-                "rel": tree.decos[v].rel,
-                "k": str(tree.decos[v].shift),
-            }
-            for v in range(len(tree))
-        ]
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -661,33 +649,21 @@ def _rooted(adj: list[list[int]], root: int) -> tuple[list[int], list]:
     return order, kids
 
 
-def _canonical_children(adj: list[list[int]], root: int) -> tuple[list, str]:
-    """For the tree spanned by the adjacency lists from `root`: each vertex's
-    children sorted by the sibling-order-invariant encoding of their subtrees
-    (ties in adjacency order), and the encoding of the whole tree."""
+def _canonical_text(adj: list[list[int]], root: int) -> str:
+    """The text of the tree spanned by the adjacency lists from `root`, with
+    each vertex's children in canonical order: a vertex is "(", its
+    children's texts sorted, then ")" (the AHU encoding).  `parse_plain`
+    reads it back as the canonical layout."""
     order, kids_of = _rooted(adj, root)
-    enc: list[str | None] = [None] * len(adj)
+    text: dict[int, str] = {}  # finished subtrees, until their parent takes them
     for v in reversed(order):
-        kids = kids_of[v]
-        if len(kids) > 1:
-            kids.sort(key=enc.__getitem__)
-        parts = []
-        for c in kids:
-            parts.append(enc[c])
-            enc[c] = None  # release: only the parent's encoding needs it
-        enc[v] = "(" + "".join(parts) + ")"
-    return kids_of, enc[root]
+        text[v] = "(" + "".join(sorted([text.pop(c) for c in kids_of[v]])) + ")"
+    return text[root]
 
 
-def _canonical_centroid(adj: list[list[int]]) -> tuple[str, int, list]:
-    """The free tree's canonical centroid, the one whose rooted encoding is
-    least: (that encoding, the centroid, its canonical children lists)."""
-    best = None
-    for root in _centroids(adj):
-        kids_of, enc = _canonical_children(adj, root)
-        if best is None or enc < best[0]:
-            best = (enc, root, kids_of)
-    return best
+def _canonical_centroid(adj: list[list[int]]) -> str:
+    """The canonical text of the free tree: the least over its centroids."""
+    return min(_canonical_text(adj, root) for root in _centroids(adj))
 
 
 def _centroids(adj: list[list[int]]) -> list[int]:
@@ -716,36 +692,30 @@ def _adjacency(tree: PlainTree) -> list[list[int]]:
     return adj
 
 
-def plain_from_adjacency(
-    adj: list[list[int]], root: int, half_edge: bool = False, kids_of: list | None = None
-) -> PlainTree:
-    """The tree spanned by the adjacency lists from `root`, in preorder.
-    Children follow adjacency order, or the lists `kids_of` when given."""
-    if kids_of is None:
-        kids_of = _rooted(adj, root)[1]
-    return PlainTree(tuple(_preorder(kids_of, root)[1]), half_edge)
+def plain_from_adjacency(adj: list[list[int]], root: int, half_edge: bool = False) -> PlainTree:
+    """The tree spanned by the adjacency lists from `root`, in preorder,
+    children in adjacency order."""
+    return PlainTree(tuple(_preorder(_rooted(adj, root)[1], root)[1]), half_edge)
 
 
 def enumerate_free_trees(n: int) -> list[PlainTree]:
     """All free trees on n vertices up to isomorphism, rooted at a canonical
-    centroid with children in canonical order, sorted by their encoding.
+    centroid with children in canonical order, sorted by their canonical text.
 
     The trees on n vertices are those on n - 1 with one leaf attached to
-    some vertex; each candidate is kept once per canonical encoding."""
+    some vertex; each candidate is kept once per canonical text."""
     if n < 1:
         raise ValueError("need at least one vertex")
     trees = [PlainTree((-1,))]
     for size in range(2, n + 1):
-        grown: dict[str, PlainTree] = {}
+        texts: set[str] = set()
         for tree in trees:
             for v in range(size - 1):
                 adj = _adjacency(tree)
                 adj[v].append(size - 1)
                 adj.append([v])
-                key, root, kids_of = _canonical_centroid(adj)
-                if key not in grown:
-                    grown[key] = plain_from_adjacency(adj, root, kids_of=kids_of)
-        trees = [grown[k] for k in sorted(grown)]
+                texts.add(_canonical_centroid(adj))
+        trees = [parse_plain(text) for text in sorted(texts)]
     return trees
 
 
@@ -754,9 +724,7 @@ def centroid_rooted(tree: PlainTree) -> PlainTree:
     canonical order (only meaningful for trees without half-edge)."""
     if tree.half_edge:
         raise ValueError("half-edge trees are rooted at the half-edge extremity")
-    adj = _adjacency(tree)
-    _, root, kids_of = _canonical_centroid(adj)
-    return plain_from_adjacency(adj, root, kids_of=kids_of)
+    return parse_plain(_canonical_centroid(_adjacency(tree)))
 
 
 def reroot(tree: PlainTree, new_root: int, half_edge: bool = False) -> PlainTree:

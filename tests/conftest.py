@@ -1,16 +1,20 @@
 """Shared helpers: random decorated trees, two-vertex and star builders,
 sum-expression evaluation through the oracle, the exhaustive enumeration of
-the vertex variables and the raw 2F1 series."""
+the vertex variables, the raw 2F1 series and its value at 1, the (B_s, C_s)
+star cross-check and the decorated-tree JSON writer."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
+from catsum.algebra import PiPoly
 from catsum.series import TruncatedSeries, _holds, brute_force_decorated, catalan, series_expand
 from catsum.trees import (
     BLACK,
+    COLOR_NAMES,
     GRAY,
     RELATIONS,
     REL_GE,
@@ -89,6 +93,53 @@ def hypergeom_series(a: Fraction, b: Fraction, c: Fraction, order: int) -> Trunc
         term *= (a + n) * (b + n) / ((c + n) * (n + 1))
         coeffs.append(term)
     return TruncatedSeries(coeffs, order)
+
+
+def gauss_value_hk(k: int) -> PiPoly:
+    """Exact value of 2F1(-1/2, K-1/2; K+1; 1) as a rational multiple of 1/pi.
+
+    Gamma(K+1)Gamma(2)/(Gamma(K+3/2)Gamma(3/2)) = 4^(K+1) (K!)^2 / (2K+1)! * (1/pi).
+    """
+    if k < 0:
+        raise ValueError("K must be nonnegative")
+    coeff = Fraction(4 ** (k + 1) * factorial(k) ** 2, factorial(2 * k + 1))
+    return PiPoly({1: coeff})
+
+
+def star_eval_crosscheck_bc(s: int) -> PiPoly:
+    """Value of the star with s+3 leaves through the explicit pair (B_s, C_s)
+    with A_{s+3} = B_s * (4/pi) - C_s * (8/(3 pi)).
+
+    Validated at t = 1/4 only; the (B_s, C_s) pair does not describe the full
+    power series (its value at t = 0 is off), so this module never uses it
+    away from 1/4.
+    """
+    if s < 0:
+        raise ValueError("s must be nonnegative")
+    sum_b = sum(
+        Fraction((k + 1) * (4 * k + 9) * comb(2 * k + 2, k + 1), 2**k) for k in range(s + 1)
+    )
+    sum_c = sum(
+        Fraction((k + 1) * (4 * k + 13) * comb(2 * k + 2, k + 1), 2**k) for k in range(s + 1)
+    )
+    shared = Fraction(4**s * (s * s + 5 * s + 7), (s + 1) * (s + 2) * (s + 3) * comb(2 * s + 5, s + 2))
+    b = Fraction((5 * s + 11) * 2 ** (s + 1), 2 * s + 5) + 4 * shared * sum_b
+    c = Fraction(3 * (s - 1) * 2**s, 2 * s + 5) + 6 * shared * sum_c
+    return PiPoly({1: b * 4 - c * Fraction(8, 3)})
+
+
+def decorated_to_json(tree: DecoratedTree) -> dict:
+    return {
+        "vertices": [
+            {
+                "parent": tree.parents[v],
+                "color": COLOR_NAMES[tree.decos[v].color],
+                "rel": tree.decos[v].rel,
+                "k": str(tree.decos[v].shift),
+            }
+            for v in range(len(tree))
+        ]
+    }
 
 
 @pytest.fixture(scope="session")

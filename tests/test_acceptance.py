@@ -12,12 +12,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import catsum
-from catsum.algebra import H1, H2, ONE, PiPoly, gauss_value_hk, hypergeom_hk
+from catsum.algebra import H1, H2, ONE, PiPoly, hypergeom_hk
 from catsum.algebra import Laurent
 from catsum.engine import Engine, base_sum
 from catsum.meanders import enumerate_meanders, faces, forest, parse_meander, probability
 from catsum.series import brute_force_decorated, brute_force_edge, series_expand
-from catsum.stars import star_3f2_partial, star_eval, star_eval_crosscheck_bc, star_plain, star_recurrence_residual
+from catsum.stars import star_3f2_partial, star_eval, star_plain, star_recurrence_residual
 from catsum.table_data import LINE_EXAMPLE_8, TABLE, closed_form_element, evaluation_pipoly
 from catsum.trees import (
     REL_EQ,
@@ -29,7 +29,7 @@ from catsum.trees import (
     reroot,
 )
 
-from conftest import long_star_tree, random_decorated_tree
+from conftest import gauss_value_hk, long_star_tree, random_decorated_tree, star_eval_crosscheck_bc
 
 ENGINE = Engine()
 
@@ -285,7 +285,6 @@ def test_north_star_no_unused_imports_and_pinned_exports():
         "catalan",
         "catalan_gf",
         "classify_fringe",
-        "gauss_value_hk",
         "generator_series",
         "height_zero_sum",
         "hypergeom_hk",

@@ -16,13 +16,12 @@ from catsum.algebra import (
     Laurent,
     PiPoly,
     catalan_gf,
-    gauss_value_hk,
     hypergeom_hk,
 )
 from catsum.series import generator_series, series_expand
 from catsum.table_data import LINE_EXAMPLE_8, TABLE, evaluation_pipoly
 
-from conftest import hypergeom_series
+from conftest import gauss_value_hk, hypergeom_series
 
 S_EQ0_NUM = H1 - ONE  # numerator of the two-vertex equality sum
 

@@ -504,11 +504,20 @@ def test_degree_tightness_witnesses():
         assert white.eval_quarter().degree() == d
 
 
+class _Forgetful(dict):
+    """An engine memo that stores nothing, so every subtree is reduced again."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def test_memo_transparency():
     rng = random.Random(102)
     for _ in range(25):
         tree = random_decorated_tree(rng, max_vertices=6)
-        assert Engine(memoize=True).reduce(tree) == Engine(memoize=False).reduce(tree)
+        forgetful = Engine()
+        forgetful.memo = _Forgetful()
+        assert Engine().reduce(tree) == forgetful.reduce(tree)
 
 
 def test_memo_reuse_and_determinism():
@@ -552,7 +561,9 @@ def test_engine_recovers_after_cycle_budget():
     reduces it again from the memo, or without one in as many cycles."""
     tree = canonical_decorate(parse_plain("((())(())())"))
     for memoize in (True, False):
-        engine = Engine(memoize=memoize, max_cycles=5)
+        engine = Engine(max_cycles=5)
+        if not memoize:
+            engine.memo = _Forgetful()
         with pytest.raises(DepthGuardExceeded, match="driver cycles"):
             engine.reduce(tree)
         assert engine.cycles == 6

@@ -274,6 +274,21 @@ def test_oracles_walk_long_paths_without_recursion():
     assert brute_force_edge(path, 0).coeffs == [1]
 
 
+@pytest.mark.parametrize(
+    "oracle, tree",
+    [
+        (brute_force_decorated, DecoratedTree((-1,), (Decoration(GRAY, REL_NONE, 0),))),
+        (brute_force_decorated, DecoratedTree((-1,), (Decoration(WHITE, REL_NONE, 0),))),
+        (brute_force_edge, PlainTree((-1,))),
+        (brute_force_edge, PlainTree((-1, 0))),
+    ],
+)
+def test_oracles_reject_negative_order(oracle, tree):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        oracle(tree, -1)
+    assert oracle(tree, 0).coeffs == [1]
+
+
 def test_decorated_oracle_is_linear_on_long_paths():
     """On the all-`eq` white path at order 2 each vertex keeps only the
     entry (0, 0), so every edge merges 3 pairs: 3 * 3,999 units in all."""

@@ -9,12 +9,13 @@ from catsum.engine import Engine
 from catsum.stars import (
     star_3f2_partial,
     star_eval,
-    star_eval_crosscheck_bc,
     star_plain,
     star_recurrence_residual,
     star_term,
 )
 from catsum.trees import canonical_decorate
+
+from conftest import star_eval_crosscheck_bc
 
 
 def test_star_values():

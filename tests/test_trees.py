@@ -29,7 +29,6 @@ from catsum.trees import (
     canonical_key,
     centroid_rooted,
     classify_fringe,
-    decorated_to_json,
     enumerate_free_trees,
     is_good_tree,
     parse_decorated,
@@ -47,7 +46,7 @@ from catsum.trees import (
     without_subtree,
 )
 
-from conftest import long_star_tree, random_decorated_tree
+from conftest import decorated_to_json, long_star_tree, random_decorated_tree
 
 
 def test_parse_plain():
@@ -361,6 +360,21 @@ def test_enumerate_free_trees_counts():
 def test_enumerate_free_trees_matches_pruefer_walk():
     for n in range(1, 8):
         assert enumerate_free_trees(n) == _reference_free_trees(n), n
+
+
+def test_centroid_rooted_is_the_enumerated_canonical_layout():
+    """Rooting any free tree at any vertex and then at its canonical
+    centroid gives back the enumerated layout, in which every vertex's
+    children come in non-decreasing order of their subtree texts."""
+    for n in range(1, 10):
+        for tree in enumerate_free_trees(n):
+            for root in range(n):
+                assert centroid_rooted(reroot(tree, root)) == tree, (tree, root)
+            texts = [""] * n
+            for v in reversed(range(n)):
+                kids = [texts[c] for c in tree.children[v]]
+                assert kids == sorted(kids), (tree, v)
+                texts[v] = "(" + "".join(kids) + ")"
 
 
 def test_derived_metrics():
