@@ -26,7 +26,6 @@ from .trees import (
     PlainTree,
     canonical_decorate,
     canonical_key,
-    classify_fringe,
     parse_decorated,
     parse_plain,
     swap_colors,
@@ -52,7 +51,6 @@ __all__ = [
     "canonical_key",
     "catalan",
     "catalan_gf",
-    "classify_fringe",
     "generator_series",
     "height_zero_sum",
     "hypergeom_hk",

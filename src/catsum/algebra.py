@@ -440,10 +440,6 @@ class AlgebraElement:
             return None
         return max(2 * a + 2 * b + c for (a, b, c) in self.terms)
 
-    def s_component(self) -> "AlgebraElement":
-        """The part of the element with s-exponent 1."""
-        return _element({k: v for k, v in self.terms.items() if k[2] == 1})
-
     def min_t_exponent(self):
         if not self.terms:
             return None

@@ -4,10 +4,12 @@ The driver turns an arbitrary decorated tree into its sum S(T) by
 repeatedly rewriting it into combinations of strictly simpler trees:
 
   1. trees of height 0 have closed forms;
-  2. a fixed priority list of local rewrites (factor out equalities, peel
-     inequality shifts to zero in one rewrite, simplify leaves, merge twin
-     or parent/child Catalan variables, absorb leaves into gray vertices)
-     normalizes the tree into the "good" class;
+  2. a fixed priority list of local ("generic") rewrites makes the tree
+     good: (i) no nonroot vertex carries "eq"; (ii) "le"/"ge" vertices
+     have shift 0; (iii) every nonroot leaf is non-gray with decoration
+     (none, 0); (iv) no two same-colored leaf siblings; (v) no leaf shares
+     its parent's color; (vi) no leaf has a gray parent.  A tree on which
+     no generic rule fires is good; goodness has no check of its own;
   3. good trees of height 1 are the two-vertex base sums;
   4. taller good trees are attacked at a height-2 fringe, which is always
      a long star; the star relations, a tridiagonal linear system (one
@@ -52,7 +54,6 @@ from .trees import (
     REL_NONE,
     canonical_key,
     classify_fringe,
-    is_good_tree,
     subtree_at,
     swap_colors,
     with_absorbed_leaf,
@@ -256,7 +257,6 @@ class Engine:
         found = self._find_generic_rewrite(tree)
         if found is not None:
             return found
-        assert is_good_tree(tree), "generic rules exhausted on a non-good tree"
         if tree.height == 1:
             deco = tree.decos[0]
             return "two-vertex-base", 0, [(base_sum(deco.rel, deco.shift), ())]
@@ -290,35 +290,37 @@ class Engine:
     # -- generic rewrites, in driver priority order ---------------------------
 
     def _find_generic_rewrite(self, tree: DecoratedTree):
+        """The first generic rewrite, or None, and then the tree is good: each
+        rule below is marked with the goodness clause whose failures it takes."""
         n = len(tree)
         decos, parents = tree.decos, tree.parents
-        # Factor at a nonroot equality: the fringe splits off as an
+        # (i) Factor at a nonroot equality: the fringe splits off as an
         # independent factor and its shift sum replaces the variables above.
         for v in range(1, n):
             if decos[v].rel == REL_EQ:
                 parts = (without_subtree(tree, v), subtree_at(tree, v))
                 return "factor-equality", v, [(ONE, parts)]
-        # Move a nonzero shift on an inequality to zero, peeling off its
+        # (ii) Move a nonzero shift on an inequality to zero, peeling off its
         # equality layers.
         for v, deco in enumerate(decos):
             if deco.shift != 0 and deco.rel in (REL_LE, REL_GE):
                 return "shift-toward-zero", v, self._shift_step(tree, v)
         leaves = tree.leaves
-        # A gray leaf is a bare indicator on its shift, and it holds here: the
-        # rules above took every nonroot `eq` and every `le`/`ge` shift.
+        # (iii) A gray leaf is a bare indicator on its shift that holds here:
+        # the rules above took every nonroot `eq` and every `le`/`ge` shift.
         for v in leaves:
             deco = decos[v]
             if deco.color == GRAY:
                 smaller = without_leaves(with_shift_added(tree, parents[v], deco.shift), (v,))
                 return "drop-gray-leaf", v, [(ONE, (smaller,))]
-        # A leaf inequality is void or forces the variable to zero.
+        # (iii) A leaf inequality is void or forces the variable to zero.
         for v in leaves:
             deco = decos[v]
             if deco.color != GRAY and deco.rel in (REL_LE, REL_GE):
                 void = (deco.color == WHITE) == (deco.rel == REL_GE)
                 new_rel = REL_NONE if void else REL_EQ
                 return "relax-leaf", v, [(ONE, (with_relation(tree, v, new_rel),))]
-        # Shifts under a void relation transfer to the parent.
+        # (iii) Shifts under a void relation transfer to the parent.
         for v, deco in enumerate(decos):
             if deco.shift != 0 and deco.rel == REL_NONE:
                 if v == 0:
@@ -326,7 +328,7 @@ class Engine:
                 else:
                     smaller = with_shift(with_shift_added(tree, parents[v], deco.shift), v, 0)
                 return "push-free-shift", v, [(ONE, (smaller,))]
-        # Twin relation-free leaves merge through the Catalan convolution:
+        # (iv) Twin relation-free leaves merge through the Catalan convolution:
         # the lowest leaf with a same-colored sibling leaf, and the next one.
         first_twin: dict[tuple[int, int], int] = {}
         best_pair = None
@@ -336,12 +338,12 @@ class Engine:
                 best_pair = (v, w)
         if best_pair is not None:
             return "merge-twin-leaves", best_pair[0], self._twin_step(tree, *best_pair)
-        # A relation-free leaf under a same-colored parent merges with it.
+        # (v) A relation-free leaf under a same-colored parent merges with it.
         for v in leaves:
             color = decos[v].color
             if color != GRAY and color == decos[parents[v]].color:
                 return "merge-leaf-into-parent", v, self._consecutive_step(tree, v)
-        # A relation-free leaf under a gray parent hands it its variable.
+        # (vi) A relation-free leaf under a gray parent hands it its variable.
         for v in leaves:
             if decos[parents[v]].color == GRAY:
                 merged = with_absorbed_leaf(tree, parents[v], v)

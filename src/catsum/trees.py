@@ -40,7 +40,7 @@ _FLIP_REL = {REL_EQ: REL_EQ, REL_NONE: REL_NONE, REL_LE: REL_GE, REL_GE: REL_LE}
 
 
 class TreeSyntaxError(ValueError):
-    """Malformed tree text; carries the offending position."""
+    """Malformed tree text; carries the offending index in the text as given."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
@@ -53,10 +53,6 @@ class TreeSchemaError(ValueError):
 
 class NotHeightTwoError(ValueError):
     """The fringe subtree does not have height exactly 2."""
-
-
-class NotGoodTreeError(ValueError):
-    """The tree is not in the normalized (good) class."""
 
 
 class PatternMismatchError(ValueError):
@@ -222,19 +218,25 @@ def parse_plain(text: str) -> PlainTree:
         if ch == "(":
             parents.append(stack[-1] if stack else -1)
             if len(parents) > 1 and not stack:
-                raise TreeSyntaxError("more than one root", offset + i)
+                raise _syntax_error(text, "more than one root", offset + i)
             stack.append(len(parents) - 1)
         elif ch == ")":
             if not stack:
-                raise TreeSyntaxError("unmatched ')'", offset + i)
+                raise _syntax_error(text, "unmatched ')'", offset + i)
             stack.pop()
         else:
-            raise TreeSyntaxError(f"unexpected character {ch!r}", offset + i)
+            raise _syntax_error(text, f"unexpected character {ch!r}", offset + i)
     if stack:
-        raise TreeSyntaxError("unclosed '('", offset + len(stripped))
+        raise _syntax_error(text, "unclosed '('", offset + len(stripped))
     if not parents:
-        raise TreeSyntaxError("empty tree", offset)
+        raise _syntax_error(text, "empty tree", offset)
     return PlainTree(tuple(parents), half_edge)
+
+
+def _syntax_error(text: str, message: str, i: int) -> TreeSyntaxError:
+    """The error at index i of `text` with its whitespace removed, placed in `text`."""
+    kept = [pos for pos, ch in enumerate(text) if not ch.isspace()]
+    return TreeSyntaxError(message, kept[i] if i < len(kept) else len(text))
 
 
 def plain_to_text(tree: PlainTree) -> str:
@@ -538,41 +540,8 @@ def with_replaced_fringe(
 
 
 # ---------------------------------------------------------------------------
-# Goodness and long-star classification
+# Long-star classification
 # ---------------------------------------------------------------------------
-
-
-def is_good_tree(tree: DecoratedTree) -> bool:
-    """Normalized class on which only long-star reductions remain.
-
-    (i) no nonroot vertex carries "eq"; (ii) "le"/"ge" vertices have shift 0;
-    (iii) every nonroot leaf is non-gray with decoration (none, 0); (iv) no
-    two same-colored leaf siblings; (v) no leaf shares its parent's color;
-    (vi) no leaf has a gray parent.
-    """
-    decos = tree.decos
-    for v, d in enumerate(decos):
-        if v and d.rel == REL_EQ:
-            return False
-        if d.rel in (REL_LE, REL_GE) and d.shift != 0:
-            return False
-    parents = tree.parents
-    leaf_sites = set()
-    for v in tree.leaves:
-        d = decos[v]
-        if d.color == GRAY or d.rel != REL_NONE or d.shift != 0:
-            return False
-        pcolor = decos[parents[v]].color
-        if pcolor == d.color or pcolor == GRAY:
-            return False
-        site = (parents[v], d.color)
-        if site in leaf_sites:
-            return False
-        leaf_sites.add(site)
-    return True
-
-
-_PATTERN_KIND = {GRAY: "GrayLongStar", WHITE: "WhiteLongStar", BLACK: "BlackLongStar"}
 
 
 @dataclass(frozen=True)
@@ -590,20 +559,13 @@ class LongStarPattern:
     k: int
     extra_leaf: int | None
 
-    @property
-    def kind(self) -> str:
-        name = _PATTERN_KIND[self.center_color]
-        return name + ("PlusLeaf" if self.extra_leaf is not None else "")
-
 
 def classify_fringe(tree: DecoratedTree, v: int) -> LongStarPattern:
-    """Identify the height-2 fringe at v as a long-star pattern.
-
-    Branch middles are counted by their relation, which is unchanged by the
-    local color swap that puts the white vertex on top of each pair.
-    """
-    if not is_good_tree(tree):
-        raise NotGoodTreeError("long-star classification requires a good tree")
+    """Identify the height-2 fringe at v as a long-star pattern.  `tree`
+    must be one on which no generic rule of `Engine` applies (a good tree),
+    and v must have fringe height 2; only the fringe's O(deg v) shape is
+    checked.  Branch middles are counted by their relation, which the local
+    color swap putting the white vertex on top of each pair leaves alone."""
     if tree.fringe_heights[v] != 2:
         raise NotHeightTwoError(f"fringe at vertex {v} does not have height 2")
     children = tree.children
@@ -729,4 +691,6 @@ def centroid_rooted(tree: PlainTree) -> PlainTree:
 
 def reroot(tree: PlainTree, new_root: int, half_edge: bool = False) -> PlainTree:
     """The same free tree rooted at the given vertex."""
+    if not 0 <= new_root < len(tree):
+        raise ValueError(f"root {new_root} is not a vertex of a tree on {len(tree)} vertices")
     return plain_from_adjacency(_adjacency(tree), new_root, half_edge)

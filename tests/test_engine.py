@@ -15,6 +15,7 @@ from catsum.engine import (
     tridiagonal_inverse,
 )
 from catsum.series import brute_force_decorated, catalan, series_expand
+from catsum.table_data import TABLE
 from catsum.trees import (
     BLACK,
     GRAY,
@@ -301,6 +302,60 @@ LONG_STAR_RULES = {
 }
 
 
+def _is_good(tree):
+    """Reference predicate for the good class, written out clause by clause
+    apart from the engine's rule scan."""
+    decos, parents = tree.decos, tree.parents
+    leaves = [v for v in range(1, len(tree)) if not tree.children[v]]
+    leaf_sites = [(parents[v], decos[v].color) for v in leaves]
+    return (
+        all(d.rel != REL_EQ for d in decos[1:])  # (i) no nonroot equality
+        and all(d.shift == 0 for d in decos if d.rel in (REL_LE, REL_GE))  # (ii)
+        # (iii) every nonroot leaf is non-gray with decoration (none, 0)
+        and all(
+            decos[v].color != GRAY and (decos[v].rel, decos[v].shift) == (REL_NONE, 0)
+            for v in leaves
+        )
+        and len(set(leaf_sites)) == len(leaf_sites)  # (iv) no same-colored leaf twins
+        and all(decos[parents[v]].color != decos[v].color for v in leaves)  # (v)
+        and all(decos[parents[v]].color != GRAY for v in leaves)  # (vi)
+    )
+
+
+def test_non_generic_steps_see_only_good_trees():
+    """Goodness has no check in the engine: a tree on which no generic rule
+    fires must be good.  Over every subproblem of the golden trees and of
+    500 random trees, each step past the generic rules sees a good tree, and
+    each generic rule but push-free-shift (which also fires on inner
+    vertices) sees a tree that is not good."""
+    rng = random.Random(2026)
+    stack = [canonical_decorate(parse_plain(entry.tree_text)) for entry in TABLE]
+    stack += [random_decorated_tree(rng) for _ in range(500)]
+    engine = Engine()
+    seen = set()
+    checked = set()
+    while stack:
+        tree = stack.pop()
+        key = canonical_key(tree)
+        if key in seen:
+            continue
+        seen.add(key)
+        rule, _, expr = engine.step(tree)
+        if rule in RULES_TO_COVER:
+            assert rule == "push-free-shift" or not _is_good(tree), (rule, tree)
+        elif rule != "height-zero":
+            assert _is_good(tree), (rule, tree)
+            checked.add(rule)
+        stack += [factor for _, factors in expr for factor in factors]
+    assert checked == LONG_STAR_RULES | {
+        "two-vertex-base",
+        "factor-free-root",
+        "dissolve-free-center",
+        "swap-colors",
+        "pull-down-center-variable",
+    }
+
+
 def test_long_star_rules_locally_sound():
     engine = Engine()
     covered = set()
@@ -476,7 +531,7 @@ def test_equality_root_stays_in_base_algebra():
             continue
         checked += 1
         value = Engine().reduce(tree)
-        assert value.s_component().is_zero(), tree
+        assert all(c == 0 for _, _, c in value.terms), tree
 
 
 def test_degree_bounds_randomized():

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from catsum.engine import Engine
 from catsum.series import brute_force_decorated
 from catsum.trees import (
     BLACK,
@@ -19,7 +20,6 @@ from catsum.trees import (
     WHITE,
     Decoration,
     DecoratedTree,
-    NotGoodTreeError,
     NotHeightTwoError,
     PatternMismatchError,
     TreeSchemaError,
@@ -30,7 +30,6 @@ from catsum.trees import (
     centroid_rooted,
     classify_fringe,
     enumerate_free_trees,
-    is_good_tree,
     parse_decorated,
     parse_plain,
     plain_to_text,
@@ -55,6 +54,7 @@ def test_parse_plain():
     p1h = parse_plain("halfedge:()")
     assert p1h.parents == (-1,) and p1h.half_edge
     assert parse_plain(" ( ( ) ( ) ) ").parents == (-1, 0, 0)
+    assert parse_plain(" half edge : ( ( ) ) ") == PlainTree((-1, 0), True)
     with pytest.raises(TreeSyntaxError):
         parse_plain("(()(")
     with pytest.raises(TreeSyntaxError):
@@ -196,17 +196,19 @@ def test_classify_fringe():
         ),
     )
     pattern = classify_fringe(free, 0)
-    assert pattern.kind == "GrayLongStar" and (pattern.i, pattern.j, pattern.k) == (0, 0, 3)
+    assert (pattern.center_color, pattern.extra_leaf) == (GRAY, None)
+    assert (pattern.i, pattern.j, pattern.k) == (0, 0, 3)
 
     mixed = long_star_tree(1, 2, 1, REL_GE, 0, center_color=WHITE)
     pattern = classify_fringe(mixed, 0)
-    assert pattern.kind == "WhiteLongStar" and (pattern.i, pattern.j, pattern.k) == (1, 2, 1)
+    assert (pattern.center_color, pattern.extra_leaf) == (WHITE, None)
+    assert (pattern.i, pattern.j, pattern.k) == (1, 2, 1)
 
     with_leaf = DecoratedTree(
         mixed.parents + (0,), mixed.decos + (Decoration(BLACK, REL_NONE, 0),)
     )
     pattern = classify_fringe(with_leaf, 0)
-    assert pattern.kind == "WhiteLongStarPlusLeaf" and pattern.extra_leaf == len(with_leaf) - 1
+    assert (pattern.center_color, pattern.extra_leaf) == (WHITE, len(with_leaf) - 1)
 
     deep = DecoratedTree(
         (-1, 0, 1, 2),
@@ -217,12 +219,8 @@ def test_classify_fringe():
             Decoration(BLACK, REL_NONE, 0),
         ),
     )
-    assert is_good_tree(deep)
     with pytest.raises(NotHeightTwoError):
         classify_fringe(deep, 0)
-    bad = canonical_decorate(parse_plain("((())())"))  # leaves still carry inequalities
-    with pytest.raises(NotGoodTreeError):
-        classify_fringe(bad, 0)
     # a free middle with nonzero shift fits no long-star pattern
     odd = DecoratedTree(
         long_star_tree(0, 0, 1, REL_LE, 0).parents,
@@ -237,8 +235,12 @@ def test_classify_fringe():
 
 
 def test_is_good_tree():
-    assert is_good_tree(long_star_tree(2, 1, 0, REL_EQ, 0))
-    assert not is_good_tree(canonical_decorate(parse_plain("((())())")))
+    """A good tree takes a long-star step; a tree failing a clause of
+    goodness takes the generic rewrite of that clause."""
+    engine = Engine()
+    assert engine.step(long_star_tree(2, 1, 0, REL_EQ, 0))[0] == "vstar-linear-system"
+    # (iii): the leaves still carry inequalities
+    assert engine.step(canonical_decorate(parse_plain("((())())")))[0] == "relax-leaf"
     twin = DecoratedTree(
         (-1, 0, 0),
         (
@@ -247,7 +249,7 @@ def test_is_good_tree():
             Decoration(BLACK, REL_NONE, 0),
         ),
     )
-    assert not is_good_tree(twin)
+    assert engine.step(twin)[0] == "merge-twin-leaves"  # (iv)
 
 
 def test_parse_decorated():
@@ -337,6 +339,26 @@ def _vertex(parent=-1, **fields):
             "decoration count does not match vertex count",
         ),
         (lambda: parse_plain("(x)"), TreeSyntaxError, "unexpected character 'x' (at position 1)"),
+        # positions index the text as given, whitespace included
+        (lambda: parse_plain("( ) )"), TreeSyntaxError, "unmatched ')' (at position 4)"),
+        (
+            lambda: parse_plain("halfedge: (()) x"),
+            TreeSyntaxError,
+            "unexpected character 'x' (at position 15)",
+        ),
+        (lambda: parse_plain("(()) (())"), TreeSyntaxError, "more than one root (at position 5)"),
+        (lambda: parse_plain(" (() "), TreeSyntaxError, "unclosed '(' (at position 5)"),
+        (lambda: parse_plain("halfedge:  "), TreeSyntaxError, "empty tree (at position 11)"),
+        (
+            lambda: reroot(parse_plain("((()))"), -1),
+            ValueError,
+            "root -1 is not a vertex of a tree on 3 vertices",
+        ),
+        (
+            lambda: reroot(parse_plain("((()))"), 3),
+            ValueError,
+            "root 3 is not a vertex of a tree on 3 vertices",
+        ),
     ],
 )
 def test_input_errors(build, error, message):
