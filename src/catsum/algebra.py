@@ -21,9 +21,10 @@ denominator, the content-times-primitive-part layout of FLINT's fmpq_poly:
 gcd(den, *nums) == 1 and den == 1 for the zero polynomial.  That stored
 form is unique, so equality and hashing compare it directly, and each
 operation does integer arithmetic followed by one gcd normalisation.
-Multiplication by a monomial (one generator key with a one-term
-coefficient, such as 1, -1, 1/t or 1/t^2) scales and shifts each
-coefficient instead of convolving.
+A product multiplies the operand with more generator keys by each key of
+the other (`_times_monomial`) and adds the parts up with `_merge`, the one
+add-in-and-drop-zero loop, which `+` uses too.  A one-term coefficient,
+such as 1, -1, 1/t or 1/t^2, scales and shifts instead of convolving.
 
 Evaluation at t = 1/4 sends s -> 0, H1 -> 4/pi, H2 -> 8/(3 pi) and every
 Laurent coefficient to its exact rational value, landing in Q[1/pi]
@@ -260,6 +261,17 @@ def _element(terms: dict[tuple[int, int, int], Laurent]) -> "AlgebraElement":
     return res
 
 
+def _merge(out: dict[tuple[int, int, int], Laurent], terms: dict[tuple[int, int, int], Laurent]):
+    """Add the nonzero coefficients of `terms` into `out`, dropping zero sums."""
+    for key, coeff in terms.items():
+        if key in out:
+            coeff = out[key] + coeff
+            if coeff.is_zero():
+                del out[key]
+                continue
+        out[key] = coeff
+
+
 class AlgebraElement:
     """Normal form of an element of Q[t,t^-1][H1,H2,s], s-exponent in {0,1}."""
 
@@ -318,12 +330,7 @@ class AlgebraElement:
         if not self.terms:
             return other
         out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            w = out[key] + coeff if key in out else coeff
-            if w.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = w
+        _merge(out, other.terms)
         return _element(out)
 
     __radd__ = __add__
@@ -353,32 +360,18 @@ class AlgebraElement:
             return self
         if self == ONE:
             return other
-        for mono, rest in ((other, self), (self, other)):
-            if len(mono.terms) == 1:
-                ((key, p),) = mono.terms.items()
-                if len(p.nums) == 1:
-                    return rest._times_monomial(key, p)
+        small, big = (self, other) if len(self.terms) < len(other.terms) else (other, self)
         out: dict[tuple[int, int, int], Laurent] = {}
-        for (a1, b1, c1), p1 in self.terms.items():
-            for (a2, b2, c2), p2 in other.terms.items():
-                coeff = p1 * p2
-                c = c1 + c2
-                if c == 2:
-                    coeff = coeff * L_S_SQUARED  # s^2 = 1 - 4t
-                    c = 0
-                key = (a1 + a2, b1 + b2, c)
-                w = out[key] + coeff if key in out else coeff
-                if w.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = w
+        for key, p in small.terms.items():
+            _merge(out, big._times_monomial(key, p).terms)
         return _element(out)
 
     __rmul__ = __mul__
 
     def _times_monomial(self, key: tuple[int, int, int], p: Laurent) -> "AlgebraElement":
-        """self * p * H1^a H2^b s^c for a one-term p: distinct keys stay
-        distinct and no product vanishes, so nothing is merged or dropped."""
+        """self * p * H1^a H2^b s^c for any nonzero Laurent p: distinct keys
+        stay distinct and Q[t, 1/t] has no zero divisors, so nothing is
+        merged or dropped."""
         ma, mb, mc = key
         out = {}
         for (a, b, c), coeff in self.terms.items():
@@ -405,9 +398,7 @@ class AlgebraElement:
         return _element({key: v.shift(k) for key, v in self.terms.items()})
 
     def mul_laurent(self, p: Laurent) -> "AlgebraElement":
-        if p.is_zero():
-            return ZERO
-        return _element({key: coeff * p for key, coeff in self.terms.items()})
+        return ZERO if p.is_zero() else self._times_monomial((0, 0, 0), p)
 
     def __truediv__(self, other) -> "AlgebraElement":
         """Division by a nonzero rational or a rational multiple of t^k."""
@@ -531,6 +522,7 @@ def catalan_gf() -> AlgebraElement:
     return (ONE - SQRT_1_4T).scale(Fraction(1, 2)).shift_t(-1)
 
 
+@lru_cache(maxsize=None)
 def hypergeom_hk(k: int) -> AlgebraElement:
     """2F1(-1/2, K-1/2; K+1; 16 t^2) in normal form, via the contiguity recurrence.
 
@@ -540,17 +532,12 @@ def hypergeom_hk(k: int) -> AlgebraElement:
     """
     if k < 0:
         raise ValueError("K must be nonnegative")
-    for m in range(2, k):  # fill the cache bottom-up so _hk recurses one level at most
-        _hk(m)
-    return _hk(k)
-
-
-@lru_cache(maxsize=None)
-def _hk(k: int) -> AlgebraElement:
     if k < 2:
         return (H1, H2)[k]
+    for m in range(2, k):  # on a miss, fill the cache bottom-up so this recurses one level at most
+        hypergeom_hk(m)
     m = k - 2  # computing H(m+2)
-    rhs = _hk(m + 1).mul_laurent(Laurent({0: 1, 2: 16})) - _hk(m)
+    rhs = hypergeom_hk(m + 1).mul_laurent(Laurent({0: 1, 2: 16})) - hypergeom_hk(m)
     # divide by (m+1/2)(m+5/2)/((m+1)(m+2)) and by z = 16 t^2
     factor = Fraction(m + 1) * (m + 2) / (Fraction(2 * m + 1, 2) * Fraction(2 * m + 5, 2))
     return rhs.scale(factor * Fraction(1, 16)).shift_t(-2)

@@ -29,7 +29,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .engine import DepthGuardExceeded, Engine
-from .meanders import MeanderError, faces, forest, parse_meander, probability
+from .meanders import faces, forest, parse_meander, probability
 from .series import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -40,8 +40,6 @@ from .stars import star_3f2_partial, star_eval, star_recurrence_residual
 from .table_data import TABLE, closed_form_element, evaluation_pipoly
 from .trees import (
     DecoratedTree,
-    TreeSchemaError,
-    TreeSyntaxError,
     canonical_decorate,
     parse_decorated,
     parse_plain,
@@ -50,8 +48,9 @@ from .trees import (
 
 PARSE_ERROR, MISMATCH, OK = 2, 1, 0
 # The errors `main` reports as `error: ...` (or {"error", "kind"} under
-# --json): an exhausted budget exits MISMATCH, bad input PARSE_ERROR.
-_INPUT_ERRORS = (TreeSyntaxError, TreeSchemaError, MeanderError, OSError, ValueError)
+# --json): an exhausted budget exits MISMATCH, bad input PARSE_ERROR.  The
+# parse errors of trees and meanders are all ValueErrors.
+_INPUT_ERRORS = (OSError, ValueError)
 _BUDGET_ERRORS = (BudgetExceededError, DepthGuardExceeded)
 
 

@@ -15,7 +15,8 @@ an exact polynomial in 1/pi.
 
 One walk along the curve tests for a single loop, so enumeration builds a
 `Meander` only for the pairs of matchings that pass; one stack walk per side
-finds the face owning each segment.
+finds the face owning each segment, and the breadth-first walk of `trees`
+finds the components of the face graph.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import combinations
 
 from .algebra import PiPoly
 from .engine import Engine
-from .trees import PlainTree, canonical_decorate, centroid_rooted, plain_from_adjacency
+from .trees import PlainTree, _rooted, canonical_decorate, centroid_rooted, plain_from_adjacency
 
 UPPER, LOWER = "upper", "lower"
 
@@ -228,21 +229,15 @@ def forest(meander: Meander) -> list[PlainTree]:
             half_edges[up if up is not None else low] += 1
 
     components: list[PlainTree] = []
-    seen = [False] * n
+    seen: set[int] = set()
     interior_components = 0
     for start in range(n):
-        if seen[start]:
+        if start in seen:
             continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
+        # the component breadth-first; a cycle would repeat a vertex in it,
+        # which still fails the edge count below
+        comp = _rooted(adjacency, start)[0]
+        seen.update(comp)
         n_half = sum(half_edges[v] for v in comp)
         n_edges = sum(len(adjacency[v]) for v in comp) // 2
         assert n_edges == len(comp) - 1, "a component of the face graph has a cycle"

@@ -1,4 +1,5 @@
-"""Golden table: the 24 trees with at most 7 vertices and their known sums.
+"""Golden table: the 24 trees with at most 7 vertices and their known sums,
+and the 8-vertex worked example E_8.
 
 Each entry pins the exact closed form (written in the variable u = t^2, the
 natural variable for trees without half-edge, whose series have only even
@@ -7,10 +8,10 @@ first seven series coefficients in u, and a truncated decimal.  The `table`
 command and the acceptance tests recompute everything from scratch and diff
 against these entries.
 
-Each closed form is the body of a `lambda h1, h2, t: ...`, with t standing
-for the u variable.  Its arithmetic is that of `AlgebraElement`, so no text
-is evaluated: `closed_form_element` calls it with H1, H2 and the element
-t^2 (t itself for E_8) to land back in the working algebra.
+Each closed form, E_8's included, is the body of a `lambda h1, h2, t: ...`,
+with t standing for the u variable.  Its arithmetic is that of
+`AlgebraElement`, so no text is evaluated: `closed_form_element` calls it
+with H1, H2 and the element t^2 to land back in the working algebra.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class TableEntry:
     evaluation: dict[int, str]  # 1/pi degree -> rational
     series: tuple[int, ...]  # coefficients of u^0..u^6
     approx: str  # truncated decimal of the evaluation
-    sqrt_t_form: bool = True
 
 
 TABLE: list[TableEntry] = [
@@ -202,25 +202,21 @@ TABLE: list[TableEntry] = [
     ),
 ]
 
-# The 8-vertex worked example: its closed form is stated directly in t.
+# The 8-vertex worked example.
 LINE_EXAMPLE_8 = TableEntry(
     "E_8", "((()())(()())())",
     lambda h1, h2, t: (
-        (105*t**2*h1*h2**2 + 210*t**2*h1*h2 + 105*t**2*h2**2 + 3*(67*t**2 + 2)*h1
-         - 3*(232*t**4 + 114*t**2 + 2)*h2 - (840*t**4 + 315*t**2)) / (1680*t**8)
+        (105*t*h1*h2**2 + 210*t*h1*h2 + 105*t*h2**2 + 3*(67*t + 2)*h1
+         - 3*(232*t**2 + 114*t + 2)*h2 - (840*t**2 + 315*t)) / (1680*t**4)
     ),
     {3: "65536/9", 2: "65536/9", 1: "-8192/35", 0: "-896"},
     (1, 7, 58, 542, 5508, 59508), "2.144147",
-    sqrt_t_form=False,
 )
 
 
 def closed_form_element(entry: TableEntry) -> AlgebraElement:
     """The entry's closed form as an element of the working (t-variable) algebra."""
-    t_var = AlgebraElement.from_laurent(
-        Laurent.t_power(2 if entry.sqrt_t_form else 1)
-    )
-    return entry.closed_form(H1, H2, t_var)
+    return entry.closed_form(H1, H2, AlgebraElement.from_laurent(Laurent.t_power(2)))
 
 
 def evaluation_pipoly(entry: TableEntry) -> PiPoly:

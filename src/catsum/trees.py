@@ -287,7 +287,7 @@ def parse_decorated(data) -> DecoratedTree:
             raise TreeSchemaError(
                 f"vertex {i}: parent {parent} must be a smaller index (children after parents)"
             )
-        if color not in COLOR_VALUES:
+        if not isinstance(color, str) or color not in COLOR_VALUES:
             raise TreeSchemaError(f"vertex {i}: unknown color {color!r}")
         if rel not in RELATIONS:
             raise TreeSchemaError(f"vertex {i}: unknown relation {rel!r}")
@@ -690,7 +690,9 @@ def centroid_rooted(tree: PlainTree) -> PlainTree:
 
 
 def reroot(tree: PlainTree, new_root: int, half_edge: bool = False) -> PlainTree:
-    """The same free tree rooted at the given vertex."""
+    """The same free tree rooted at the given vertex; `tree` has no half-edge."""
+    if tree.half_edge:
+        raise ValueError("half-edge trees are rooted at the half-edge extremity")
     if not 0 <= new_root < len(tree):
         raise ValueError(f"root {new_root} is not a vertex of a tree on {len(tree)} vertices")
     return plain_from_adjacency(_adjacency(tree), new_root, half_edge)

@@ -317,8 +317,8 @@ def test_north_star_recursion_pinned():
     assert recursive == {
         # ge/le call eq and none, which return without recursing: depth 2
         ("engine.py", "base_sum"),
-        # hypergeom_hk fills the cache bottom-up first, so one level at most
-        ("algebra.py", "_hk"),
+        # hypergeom_hk fills its cache bottom-up on a miss, so one level at most
+        ("algebra.py", "hypergeom_hk"),
         # depth n/2 on n points; the Catalan(n/2) matchings exhaust memory
         # long before that nears the recursion limit
         ("meanders.py", "_matchings"),

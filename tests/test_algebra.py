@@ -327,6 +327,28 @@ def test_element_kernel_matches_fraction_reference():
             rebuilt = _element(expected)
             assert got == rebuilt and hash(got) == hash(rebuilt), op
         assert ex.eval_quarter() == PiPoly(_ref_eval_quarter(x))
+    # products whose parts cancel across the keys of the smaller operand
+    cancelling = [
+        # (H1 + s)(H1 - s) = H1^2 - 1 + 4t
+        ({(1, 0, 0): {0: 1}, (0, 0, 1): {0: 1}}, {(1, 0, 0): {0: 1}, (0, 0, 1): {0: -1}},
+         {(2, 0, 0): {0: 1}, (0, 0, 0): {0: -1, 1: 4}}),
+        # (1 + s)(1 - s) = 4t
+        ({(0, 0, 0): {0: 1}, (0, 0, 1): {0: 1}}, {(0, 0, 0): {0: 1}, (0, 0, 1): {0: -1}},
+         {(0, 0, 0): {1: 4}}),
+        # (H1^2 + H1 H2 + H2^2)(H1 - H2) = H1^3 - H2^3
+        ({(2, 0, 0): {0: 1}, (1, 1, 0): {0: 1}, (0, 2, 0): {0: 1}},
+         {(1, 0, 0): {0: 1}, (0, 1, 0): {0: -1}},
+         {(3, 0, 0): {0: 1}, (0, 3, 0): {0: -1}}),
+        # (t H1 + (1 + t) s)(t H1 - (1 + t) s) = t^2 H1^2 - (1 + t)^2 (1 - 4t)
+        ({(1, 0, 0): {1: 1}, (0, 0, 1): {0: 1, 1: 1}},
+         {(1, 0, 0): {1: 1}, (0, 0, 1): {0: -1, 1: -1}},
+         {(2, 0, 0): {2: 1}, (0, 0, 0): {0: -1, 1: 2, 2: 7, 3: 4}}),
+    ]
+    for x, y, expected in cancelling:
+        assert _ref_element_mul(x, y) == expected
+        for a, b in ((x, y), (y, x)):
+            got = _element(a) * _element(b)
+            assert _as_ref(got) == expected and got == _element(expected), (a, b)
     # s * s through the monomial path: s^2 = 1 - 4t
     assert _as_ref(SQRT_1_4T * SQRT_1_4T) == {(0, 0, 0): {0: 1, 1: -4}}
     assert _as_ref(SQRT_1_4T.shift_t(-1) * SQRT_1_4T.scale(2)) == {(0, 0, 0): {-1: 2, 0: -8}}

@@ -54,6 +54,19 @@ def cases() -> list[list[str]]:
             out.append(["--json", "meander", "--upper", _arcs(m.upper), "--lower", _arcs(m.lower)])
     out.append(["--json", "star", "--s", "3", "--partial", "100"])
     out.append(["--trace", "sum", LINE_EXAMPLE_8.tree_text])
+    out += [["--json", "sum", "--sqrt-t", tree] for tree in golden[::12]]
+    # text mode of each subcommand
+    out.append(["sum", golden[4]])
+    out.append(["verify", golden[5], "--order", "8"])
+    out.append(["meander", "--upper", "0-1, 2-3", "--lower", "0-3, 1-2"])
+    out.append(["star", "--s", "2", "--partial", "50"])
+    out.append(["table", "--max-vertices", "5"])
+    # malformed input exits 2
+    out.append(["sum", "(()"])
+    out.append(["--json", "sum", '{"vertices": ['])
+    out.append(["meander", "--upper", "0-2, 1-3", "--lower", "0-1, 2-3"])
+    unhashable_color = '{"vertices":[{"parent":-1,"color":[],"rel":"eq","k":0}]}'
+    out += [["sum", unhashable_color], ["--json", "sum", unhashable_color]]
     return out
 
 

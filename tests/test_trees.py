@@ -324,6 +324,17 @@ def _vertex(parent=-1, **fields):
             TreeSchemaError,
             "vertex 0: k must be an integer or decimal string",
         ),
+        # unhashable colors are unknown colors, not a TypeError
+        (
+            lambda: parse_decorated({"vertices": [_vertex(color=[])]}),
+            TreeSchemaError,
+            "vertex 0: unknown color []",
+        ),
+        (
+            lambda: parse_decorated({"vertices": [_vertex(color={})]}),
+            TreeSchemaError,
+            "vertex 0: unknown color {}",
+        ),
         (lambda: PlainTree(()), ValueError, "a tree needs at least one vertex"),
         (lambda: PlainTree((0,)), ValueError, "vertex 0 must be the root (parent -1)"),
         (
@@ -358,6 +369,11 @@ def _vertex(parent=-1, **fields):
             lambda: reroot(parse_plain("((()))"), 3),
             ValueError,
             "root 3 is not a vertex of a tree on 3 vertices",
+        ),
+        (
+            lambda: reroot(parse_plain("halfedge:((()))"), 0),
+            ValueError,
+            "half-edge trees are rooted at the half-edge extremity",
         ),
     ],
 )
