@@ -282,9 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import.  parse_args only reads a parser: argparse writes
+# what it parses into a new Namespace and keeps its working state in locals
+# (ArgumentParser.parse_known_args and _SubParsersAction.__call__), so one
+# parser serves every call of `main`, from any thread, without a lock.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except _INPUT_ERRORS + _BUDGET_ERRORS as exc:

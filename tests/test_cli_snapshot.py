@@ -53,6 +53,11 @@ def cases() -> list[list[str]]:
         for m in enumerate_meanders(size):
             out.append(["--json", "meander", "--upper", _arcs(m.upper), "--lower", _arcs(m.lower)])
     out.append(["--json", "star", "--s", "3", "--partial", "100"])
+    # partial sums at large N and s, on both sides of the switch from the
+    # term-by-term loop to the certificate at 10 s terms
+    out.append(["--json", "star", "--s", "64", "--partial", "3000"])
+    out.append(["--json", "star", "--s", "200", "--partial", "300"])
+    out.append(["--json", "star", "--s", "200", "--partial", "2001"])
     out.append(["--trace", "sum", LINE_EXAMPLE_8.tree_text])
     out += [["--json", "sum", "--sqrt-t", tree] for tree in golden[::12]]
     # text mode of each subcommand
@@ -60,6 +65,7 @@ def cases() -> list[list[str]]:
     out.append(["verify", golden[5], "--order", "8"])
     out.append(["meander", "--upper", "0-1, 2-3", "--lower", "0-3, 1-2"])
     out.append(["star", "--s", "2", "--partial", "50"])
+    out.append(["star", "--s", "5", "--partial", "8"])
     out.append(["table", "--max-vertices", "5"])
     # malformed input exits 2
     out.append(["sum", "(()"])

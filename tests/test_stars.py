@@ -1,12 +1,15 @@
 """Star values, recurrences, hypergeometric partial sums, asymptotics."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
+from catsum import stars
 from catsum.algebra import PiPoly
 from catsum.engine import Engine
 from catsum.stars import (
+    _certificate,
     star_3f2_partial,
     star_eval,
     star_plain,
@@ -75,6 +78,73 @@ def test_partial_sums():
             )
     with pytest.raises(ValueError):
         star_3f2_partial(0, 5)
+
+
+def _ratio(s, n):
+    """t_{n+1} / t_n of the partial-sum series, written out."""
+    return Fraction(
+        (2 * n + 1) * (2 * n + s) * (2 * n + s + 1), 8 * (n + 1) * (n + 2) * (n + s + 1)
+    )
+
+
+def _certificate_value(s, n):
+    """g_s(n) = P(n) / binom(n+s-1, s-1), from the certificate's Newton form."""
+    newton, scale = _certificate(s)
+    p = sum(coeff * comb(n, j) for j, coeff in enumerate(newton))
+    return Fraction(p, scale * comb(n + s - 1, s - 1))
+
+
+def test_certificate_found_and_telescopes_for_s_up_to_64():
+    for n in range(4):
+        assert _ratio(7, n) == star_term(7, n + 1) / star_term(7, n)
+    for s in range(1, 65):
+        certificate = _certificate(s)
+        assert certificate is not None, s
+        assert len(certificate[0]) == s + 3, s  # deg P = s + 2
+        # g(n+1) r(n) - g(n) = 1, here also far past the points the builder checked
+        for n in (0, 1, s + 5, s + 6, 2 * s + 11, 1000):
+            g, g_next = _certificate_value(s, n), _certificate_value(s, n + 1)
+            assert g_next * _ratio(s, n) - g == 1, (s, n)
+
+
+def test_certificate_limit_derives_star_eval():
+    """S_N = g(N) t_N - g(0) with t_N ~ s 2^(s-1) / (pi N^3) and g(N) ~ c N^3,
+    c the leading coefficient of P(n) over (n+1)...(n+s-1), so
+    A_s = c s 2^(s-1) / pi - g(0): derived from the term ratio alone."""
+    gammas = []
+    for s in range(1, 65):
+        newton, scale = _certificate(s)
+        leading = Fraction(newton[-1] * factorial(s - 1), factorial(s + 2) * scale)
+        gamma = Fraction(newton[0], scale)
+        value = star_eval(s)
+        assert leading * s * 2 ** (s - 1) == value.coeffs[1], s
+        assert -gamma == value.coeffs.get(0, 0), s
+        gammas.append(gamma)
+    assert gammas[:3] == [4, -8, 0] and not any(gammas[2:])
+
+
+def test_partial_sums_on_both_sides_of_the_certificate_switch():
+    # the loop adds up to 10 s terms; from 10 s + 1 on the certificate serves
+    for s in range(1, 13):
+        for terms in (s + 2, s + 3, s + 4, 10 * s, 10 * s + 1):
+            assert star_3f2_partial(s, terms) == sum(
+                (star_term(s, n) for n in range(terms)), Fraction(0)
+            ), (s, terms)
+
+
+def test_partial_sums_at_large_n_and_without_certificate(monkeypatch):
+    by_certificate = {(5, 1000): star_3f2_partial(5, 1000), (40, 3000): star_3f2_partial(40, 3000)}
+    assert by_certificate[5, 1000] == sum((star_term(5, n) for n in range(1000)), Fraction(0))
+    # with no certificate the terms are added one by one, to the same value;
+    # at N = 3,000 that loop is the reference (a sum of star_term takes seconds)
+    monkeypatch.setattr(stars, "_certificate", lambda s: None)
+    for (s, terms), value in by_certificate.items():
+        assert star_3f2_partial(s, terms) == value, (s, terms)
+    # a false certificate, P(n) = (1 + n)/7 here, can leave a remainder over
+    # 16^(N-1): that is an error, never a rounded sum
+    monkeypatch.setattr(stars, "_certificate", lambda s: ((1, 1), 7))
+    with pytest.raises(ArithmeticError):
+        star_3f2_partial(5, 1000)
 
 
 def test_asymptotic_ratio():
