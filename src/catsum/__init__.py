@@ -12,15 +12,8 @@ from .algebra import (
     catalan_gf,
     hypergeom_hk,
 )
-from .engine import Engine, base_sum, height_zero_sum
-from .series import (
-    TruncatedSeries,
-    brute_force_decorated,
-    brute_force_edge,
-    catalan,
-    generator_series,
-    series_expand,
-)
+from .engine import Engine
+from .series import TruncatedSeries, brute_force_decorated, catalan, series_expand
 from .trees import (
     DecoratedTree,
     PlainTree,
@@ -44,15 +37,11 @@ __all__ = [
     "SQRT_1_4T",
     "TruncatedSeries",
     "ZERO",
-    "base_sum",
     "brute_force_decorated",
-    "brute_force_edge",
     "canonical_decorate",
     "canonical_key",
     "catalan",
     "catalan_gf",
-    "generator_series",
-    "height_zero_sum",
     "hypergeom_hk",
     "parse_decorated",
     "parse_plain",

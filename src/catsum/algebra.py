@@ -32,7 +32,8 @@ Laurent coefficient to its exact rational value, landing in Q[1/pi]
 `series.TruncatedSeries` one `Laurent` in t, so `Laurent` is the only
 polynomial arithmetic over Q in the package, and one term renderer
 (`_term`, `_joined`) prints `Laurent`, `AlgebraElement` and truncated
-series alike.  `_stored`, `_element`, `_pipoly` and `series._series`
+series alike, writing every rational through `_fraction_text`, exact at
+any size.  `_stored`, `_element`, `_pipoly` and `series._series`
 wrap values already in normal form unchecked, one square-and-multiply
 (`_power`) serves every `**`, and decimals bound pi by Machin's formula on
 integers to as many places as they need.  No floating point is used
@@ -44,6 +45,7 @@ elements can be shared freely between threads.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -57,15 +59,22 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _fraction_text(q: Fraction | int) -> str:
+    """str(q) at any size: formatting through Decimal is exact and not
+    subject to CPython's limit on int-to-string digits."""
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
 def _term(v: Fraction, e: int, gens: str = "") -> str:
     """The term v * t^e * gens, with a coefficient of 1 or -1 written as its sign."""
     t = "" if e == 0 else "t" if e == 1 else f"t^{e}"
     mono = f"{t}*{gens}" if t and gens else t or gens
     if not mono:
-        return str(v)
+        return _fraction_text(v)
     if v == 1:
         return mono
-    return "-" + mono if v == -1 else f"{v}*{mono}"
+    return "-" + mono if v == -1 else f"{_fraction_text(v)}*{mono}"
 
 
 def _joined(terms) -> str:
@@ -496,7 +505,7 @@ class AlgebraElement:
         num_str = str(num)
         if lead == 1 and m == 0:
             return num_str
-        den_factors = [] if lead == 1 else [str(lead)]
+        den_factors = [] if lead == 1 else [_fraction_text(lead)]
         if m:
             den_factors.append("t" if m == -1 else f"t^{-m}")
         return f"({num_str})/({'*'.join(den_factors)})"
@@ -505,7 +514,8 @@ class AlgebraElement:
         out = []
         for key in self._sorted_keys():
             a, b, c = key
-            coeff = {str(e): str(v) for e, v in sorted(self.terms[key].terms.items(), reverse=True)}
+            items = sorted(self.terms[key].terms.items(), reverse=True)
+            coeff = {str(e): _fraction_text(v) for e, v in items}
             out.append({"h1": a, "h2": b, "s": c, "coeff": coeff})
         return {"terms": out}
 
@@ -577,7 +587,7 @@ def _truncated(value: Fraction, digits: int) -> str:
     sign = "-" if value < 0 else ""
     value = abs(value)
     int_part, frac_part = divmod(value.numerator * 10**digits // value.denominator, 10**digits)
-    return f"{sign}{int_part}.{frac_part:0{digits}d}"
+    return f"{sign}{_fraction_text(int_part)}.{frac_part:0{digits}d}"
 
 
 def _pipoly(poly: Laurent) -> "PiPoly":
@@ -644,7 +654,10 @@ class PiPoly:
 
     def __str__(self):
         """Canonical ascending rendering: c0 + c1*pi^-1 + c2*pi^-2 + ..."""
-        terms = (str(v) if d == 0 else f"{v}*pi^-{d}" for d, v in sorted(self.coeffs.items()))
+        terms = (
+            _fraction_text(v) if d == 0 else f"{_fraction_text(v)}*pi^-{d}"
+            for d, v in sorted(self.coeffs.items())
+        )
         return " + ".join(terms) or "0"
 
     __repr__ = __str__
@@ -654,11 +667,11 @@ class PiPoly:
         parts = []
         for d, v in sorted(self.coeffs.items(), reverse=True):
             if d == 0:
-                parts.append(str(v))
+                parts.append(_fraction_text(v))
                 continue
             pi_part = "pi" if d == 1 else f"pi^{d}"
-            den = pi_part if v.denominator == 1 else f"({v.denominator}*{pi_part})"
-            parts.append(f"{v.numerator}/{den}")
+            den = pi_part if v.denominator == 1 else f"({_fraction_text(v.denominator)}*{pi_part})"
+            parts.append(f"{_fraction_text(v.numerator)}/{den}")
         return _joined(parts)
 
     def to_fraction(self) -> Fraction:
@@ -683,4 +696,4 @@ class PiPoly:
             places *= 2
 
     def to_json(self):
-        return [[d, str(v)] for d, v in sorted(self.coeffs.items(), reverse=True)]
+        return [[d, _fraction_text(v)] for d, v in sorted(self.coeffs.items(), reverse=True)]

@@ -25,9 +25,8 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal
-from fractions import Fraction
 
+from .algebra import _fraction_text
 from .engine import DepthGuardExceeded, Engine
 from .meanders import faces, forest, parse_meander, probability
 from .series import (
@@ -74,13 +73,6 @@ def _load_tree(argument: str) -> tuple[DecoratedTree, str]:
 def _engine(args) -> Engine:
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     return Engine(trace=trace)
-
-
-def _fraction_text(q: Fraction) -> str:
-    """str(q) at any size: formatting through Decimal is exact and not
-    subject to CPython's limit on int-to-string digits."""
-    num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
-    return num if den == "1" else f"{num}/{den}"
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
@@ -194,7 +186,8 @@ def _cmd_star(args) -> int:
     if args.partial:
         partial = star_3f2_partial(args.s, args.partial)
         gap = abs(partial - value.to_fraction())
-        payload["partial_sum"] = _fraction_text(partial)
+        if args.json:  # the exact decimal text is long, and text mode never prints it
+            payload["partial_sum"] = _fraction_text(partial)
         payload["partial_gap"] = f"{float(gap):.3e}"
         lines.append(f"partial sum ({args.partial} terms): off by ~{float(gap):.3e}")
     _emit(args, payload, lines)

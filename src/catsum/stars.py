@@ -17,10 +17,8 @@ The partial sums S_N of that series telescope: for each s, Gosper's
 algorithm gives a rational certificate g_s with S_N = g_s(N) t_N - g_s(0),
 t_N the N-th term.  It is found with one unknown, proved by a polynomial
 identity before use and cached per s, so S_N costs a few binomials at any
-N: `catsum star --s 3 --partial 100000` takes about 2 s, where adding the
-terms one by one took 19 s (CPython 3.11, one Xeon core).  The term-by-term
-loop remains for N <= 10 s, where it costs less than building the
-certificate, and for an s without a certificate.
+N >= 1: `catsum star --s 3 --partial 100000` takes about 2 s, where adding
+the terms one by one took 19 s (CPython 3.11, one Xeon core).
 """
 
 from __future__ import annotations
@@ -88,8 +86,8 @@ def _scaled_terms(s: int):
 
 
 @lru_cache(maxsize=None)
-def _certificate(s: int) -> tuple[tuple[int, ...], int] | None:
-    """Gosper's certificate for the partial sums of A_s, or None if there is none.
+def _certificate(s: int) -> tuple[tuple[int, ...], int]:
+    """Gosper's certificate for the partial sums of A_s.
 
     The term ratio is r(n) = t_{n+1}/t_n =
     (2n+1)(2n+s)(2n+s+1) / (8(n+1)(n+2)(n+s+1)).  With
@@ -105,7 +103,8 @@ def _certificate(s: int) -> tuple[tuple[int, ...], int] | None:
     P is checked against the identity, of degree <= s+5 in n,
       P(n+1)(2n+1)(2n+s)(2n+s+1) - 8P(n)(n+s)(n+2)(n+s+1)
         = 8(n+1)(n+2)(n+s+1)D(n+1)
-    at the s+6 points n = 0..s+5, which proves it.
+    at the s+6 points n = 0..s+5, which proves it.  A vanishing slope for
+    gamma or a failed identity raises ArithmeticError.
     """
     m = s + 3
     c, e = zip(*islice(_scaled_terms(s), m + 1))
@@ -120,7 +119,7 @@ def _certificate(s: int) -> tuple[tuple[int, ...], int] | None:
     signs = [(-1) ** (m - n) * comb(m, n) for n in range(m + 1)]
     slope = sum(w * v for w, v in zip(signs, per_gamma))
     if not slope:
-        return None
+        raise ArithmeticError(f"no Gosper certificate for s={s}: gamma is not determined")
     gamma = Fraction(-sum(w * v for w, v in zip(signs, fixed)), slope)
     values = [gamma.denominator * f + gamma.numerator * g for f, g in zip(fixed[:m], per_gamma)]
     scale = gamma.denominator * common
@@ -135,7 +134,7 @@ def _certificate(s: int) -> tuple[tuple[int, ...], int] | None:
         lhs = p[n + 1] * (2 * n + 1) * (2 * n + s) * (2 * n + s + 1)
         lhs -= 8 * p[n] * (n + s) * (n + 2) * (n + s + 1)
         if lhs != 8 * scale * (n + 1) * (n + 2) * (n + s + 1) * d[n + 1]:
-            return None
+            raise ArithmeticError(f"the Gosper certificate for s={s} fails at n={n}")
     return tuple(newton), scale
 
 
@@ -152,23 +151,16 @@ def star_3f2_partial(s: int, terms: int) -> Fraction:
     """Exact partial sum S_N = sum_{n<N} Cat_n [t^n]C(t)^s 16^(-n), N = terms,
     of the hypergeometric series converging (monotonically from below) to A_s.
 
-    Past 10 s terms the sum telescopes through Gosper's certificate g_s
-    (`_certificate`, built and proved once per s): S_N = g_s(N) t_N - g_s(0).
-    One N then costs three binomials and O(s) multiplications:
+    The sum telescopes through Gosper's certificate g_s (`_certificate`,
+    built and proved once per s): S_N = g_s(N) t_N - g_s(0).  One N then
+    costs three binomials and O(s) multiplications:
     `catsum star --s 3 --partial 100000` takes about 2 s, where adding the
     terms took 19 s, and its binomials (`math.comb`) are now the largest
-    part.  Up to 10 s terms, or for an s without a certificate, the terms are
-    added one by one as integers over the common denominator 16^N.
+    part.
     """
     if s < 1 or terms < 1:
         raise ValueError("need s >= 1 and terms >= 1")
-    # Building a certificate costs about as much as the loop's first 10 s
-    # terms (CPython 3.11, s = 6..400), so shorter sums take the loop.
-    certificate = _certificate(s) if terms > 10 * s else None
-    if certificate is None:
-        _, e = next(islice(_scaled_terms(s), terms, None))
-        return Fraction(e // 16, 16 ** (terms - 1))
-    newton, scale = certificate
+    newton, scale = _certificate(s)
     # S_N = g(N) t_N - g(0), with t_N = c_N / 16^N and D(0) = 1, so
     # 16^(N-1) S_N = (P(N) c_N - P(0) D(N) 16^N) / (16 D(N)), P(n) over scale
     c_n = catalan(terms) * catalan_power_coeff(s, terms)

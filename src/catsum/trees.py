@@ -204,14 +204,14 @@ HALF_EDGE_PREFIX = "halfedge:"
 
 
 def parse_plain(text: str) -> PlainTree:
-    """Parse the grammar `tree := "(" tree* ")"`, optional `halfedge:` prefix."""
-    stripped = "".join(text.split())
-    half_edge = False
-    offset = 0
-    if stripped.startswith(HALF_EDGE_PREFIX):
-        half_edge = True
-        offset = len(HALF_EDGE_PREFIX)
-        stripped = stripped[offset:]
+    """Parse the grammar `tree := "(" tree* ")"`, optional `halfedge:` prefix.
+
+    Whitespace may precede the prefix and fill the tree, not split the prefix.
+    """
+    body = text.lstrip()
+    half_edge = body.startswith(HALF_EDGE_PREFIX)
+    offset = len(HALF_EDGE_PREFIX) if half_edge else 0
+    stripped = "".join(body[offset:].split())
     parents: list[int] = []
     stack: list[int] = []
     for i, ch in enumerate(stripped):
@@ -594,7 +594,7 @@ def classify_fringe(tree: DecoratedTree, v: int) -> LongStarPattern:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration of small free trees (used by the golden table and tests)
+# Enumeration of small free trees (the exhaustive sweeps of the tests)
 # ---------------------------------------------------------------------------
 
 

@@ -1,17 +1,25 @@
 """Shared helpers: random decorated trees, two-vertex and star builders,
-sum-expression evaluation through the oracle, the exhaustive enumeration of
-the vertex variables, the raw 2F1 series and its value at 1, the (B_s, C_s)
-star cross-check and the decorated-tree JSON writer."""
+sum-expression evaluation through the oracle, the exhaustive enumerations of
+the vertex and of the edge variables, the raw 2F1 series and its value at 1,
+the (B_s, C_s) star cross-check and the decorated-tree JSON writer."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
 from catsum.algebra import PiPoly
-from catsum.series import TruncatedSeries, _holds, brute_force_decorated, catalan, series_expand
+from catsum.series import (
+    DEFAULT_BUDGET,
+    TruncatedSeries,
+    _Budget,
+    _holds,
+    brute_force_decorated,
+    catalan,
+    series_expand,
+)
 from catsum.trees import (
     BLACK,
     COLOR_NAMES,
@@ -23,6 +31,7 @@ from catsum.trees import (
     WHITE,
     Decoration,
     DecoratedTree,
+    PlainTree,
 )
 
 
@@ -207,4 +216,56 @@ def enumerate_decorated(tree: DecoratedTree, order: int) -> TruncatedSeries:
                     stack.append((idx, remaining, product, w + 1))
                     stack.append((idx + 1, remaining - w, product * catalan(w), 0))
                     break
+    return TruncatedSeries(coeffs, order)
+
+
+def brute_force_edge(tree: PlainTree, order: int, budget: int = DEFAULT_BUDGET) -> TruncatedSeries:
+    """Tree sum by direct enumeration of the edge variables.
+
+    One nonnegative weight per edge (plus one for the half-edge when
+    present); each vertex contributes Cat_{X_v} t^{X_v} with X_v the sum of
+    the weights of its incident edges.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    counter = _Budget(budget)
+    n = len(tree.parents)
+    # Edge list: (child vertex) encodes the edge to its parent; the half-edge
+    # is an extra variable incident only to the root.
+    edges = [(tree.parents[v], v) for v in range(1, n)]
+    incidence: list[list[int]] = [[] for _ in range(n)]
+    for e, (p, v) in enumerate(edges):
+        incidence[p].append(e)
+        incidence[v].append(e)
+    half_index = None
+    if tree.half_edge:
+        half_index = len(edges)
+        incidence[0].append(half_index)
+    n_edges = len(edges) + (1 if tree.half_edge else 0)
+
+    coeffs = [0] * (order + 1)
+    if n_edges == 0:
+        coeffs[0] = 1
+        return TruncatedSeries(coeffs, order)
+
+    # Depth-first over the edge weights, one budget unit per visited node.  A
+    # stack entry is (edge, degree left, weight to try next); the last edge's
+    # weights are summed in place.
+    x = [0] * n_edges
+    counter.spend()
+    stack = [(0, order, 0)]
+    while stack:
+        e, degree_left, start = stack.pop()
+        # A normal edge adds 2x to the total degree, the half-edge adds x.
+        step = 1 if e == half_index else 2
+        for w in range(start, degree_left // step + 1):
+            x[e] = w
+            counter.spend()
+            if e == n_edges - 1:
+                degrees = [sum(x[i] for i in incidence[v]) for v in range(n)]
+                coeffs[sum(degrees)] += prod(catalan(d) for d in degrees)
+            else:
+                stack.append((e, degree_left, w + 1))
+                stack.append((e + 1, degree_left - step * w, 0))
+                break
     return TruncatedSeries(coeffs, order)

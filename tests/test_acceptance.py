@@ -8,6 +8,7 @@ below 1e-6 and the asymptotic ratio within 6%).
 import ast
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from catsum.algebra import H1, H2, ONE, PiPoly, hypergeom_hk
 from catsum.algebra import Laurent
 from catsum.engine import Engine, base_sum
 from catsum.meanders import enumerate_meanders, faces, forest, parse_meander, probability
-from catsum.series import brute_force_decorated, brute_force_edge, series_expand
+from catsum.series import brute_force_decorated, series_expand
 from catsum.stars import star_3f2_partial, star_eval, star_plain, star_recurrence_residual
 from catsum.table_data import LINE_EXAMPLE_8, TABLE, closed_form_element, evaluation_pipoly
 from catsum.trees import (
@@ -29,7 +30,13 @@ from catsum.trees import (
     reroot,
 )
 
-from conftest import gauss_value_hk, long_star_tree, random_decorated_tree, star_eval_crosscheck_bc
+from conftest import (
+    brute_force_edge,
+    gauss_value_hk,
+    long_star_tree,
+    random_decorated_tree,
+    star_eval_crosscheck_bc,
+)
 
 ENGINE = Engine()
 
@@ -223,18 +230,13 @@ def test_north_star_no_eval_and_stdlib_only():
     print("NORTH STAR: PASS - no eval or exec, standard-library imports only")
 
 
-def _names_outside(tree, skipped):
-    """Every name and attribute read in `tree`, except inside the node `skipped`."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skipped:
-            continue
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        stack.extend(ast.iter_child_nodes(node))
+def _names(tree) -> Counter:
+    """How often each name and attribute is read in `tree`."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
 
 
 def test_north_star_no_unused_imports_and_pinned_exports():
@@ -243,13 +245,25 @@ def test_north_star_no_unused_imports_and_pinned_exports():
         path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
         for path in sorted(package.glob("*.py"))
     }
-    # every module-level private function is referenced outside its own def
-    for name, tree in modules.items():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
-                assert any(
-                    node.name in _names_outside(other, node) for other in modules.values()
-                ), (name, node.name)
+    # The module-level functions that no module references outside their own
+    # def: never a private one, and only these public ones, each kept for a reason.
+    everywhere = sum((_names(tree) for tree in modules.values()), Counter())
+    uncalled = {
+        node.name
+        for tree in modules.values()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        if everywhere[node.name] == _names(node)[node.name]
+    }
+    assert uncalled == {
+        # the meander-sweep benchmark and criterion 9 run every meander of a size
+        "enumerate_meanders",
+        # the direct term of the star partial sums, the reference for star_3f2_partial
+        "star_term",
+        # ROADMAP item 2's `catsum sweep` reroots every free tree of a size
+        "enumerate_free_trees",
+        "reroot",
+    }
     for name, tree in modules.items():
         if name == "__init__.py":  # its imports are the re-exports
             continue
@@ -277,15 +291,11 @@ def test_north_star_no_unused_imports_and_pinned_exports():
         "SQRT_1_4T",
         "TruncatedSeries",
         "ZERO",
-        "base_sum",
         "brute_force_decorated",
-        "brute_force_edge",
         "canonical_decorate",
         "canonical_key",
         "catalan",
         "catalan_gf",
-        "generator_series",
-        "height_zero_sum",
         "hypergeom_hk",
         "parse_decorated",
         "parse_plain",

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -406,6 +407,22 @@ def test_json_shapes():
         ]
     }
     assert PiPoly({1: 16, 0: -4}).to_json() == [[1, "16"], [0, "-4"]]
+
+
+def test_rendering_beyond_int_digit_limit():
+    """Integers of more than 4,300 digits, which CPython's str() refuses by
+    default, render exactly in every text form."""
+    big, den = 10**4400, 3**9300
+    value = PiPoly({1: Fraction(big + 1, den), 0: big})
+    top, low, denominator = "1" + "0" * 4399 + "1", "1" + "0" * 4400, str(Decimal(den))
+    assert str(value) == f"{low} + {top}/{denominator}*pi^-1"
+    assert value.pretty() == f"{top}/({denominator}*pi) + {low}"
+    assert value.to_json() == [[1, f"{top}/{denominator}"], [0, low]]
+    assert value.to_decimal(3) == low + ".000"
+    x = AlgebraElement.from_rational(Fraction(1, den)) + H1.scale(big)
+    assert str(x) == f"{low}*H1 + 1/{denominator}"
+    assert x.pretty() == f"({Decimal(den * big)}*H1 + 1)/({denominator})"
+    assert x.to_json()["terms"][1]["coeff"] == {"0": f"1/{denominator}"}
 
 
 # pi to 100 places, as printed in reference tables.

@@ -5,7 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from catsum.cli import main
-from catsum.series import TruncatedSeries
+from catsum.series import TruncatedSeries, catalan
 from catsum.stars import star_3f2_partial
 from catsum.trees import canonical_decorate, canonical_key, parse_plain
 from catsum.table_data import TABLE
@@ -138,6 +138,30 @@ def test_star_partial_beyond_int_digit_limit(capsys):
     num, _, den = json.loads(out)["partial_sum"].partition("/")
     assert len(den) > 4300
     assert Fraction(int(Decimal(num)), int(Decimal(den))) == star_3f2_partial(3, 4000)
+
+
+def test_star_text_mode_builds_no_exact_partial_sum(monkeypatch, capsys):
+    import catsum.cli
+
+    monkeypatch.setattr(catsum.cli, "_fraction_text", None)  # a call would raise
+    code, out, _ = run(capsys, "star", "--s", "3", "--partial", "50")
+    assert code == 0 and "partial sum (50 terms)" in out
+
+
+def test_coefficients_beyond_int_digit_limit(capsys):
+    """Cat_7200 has more digits than CPython converts between int and str
+    by default; a tree whose sum is Cat_7200 t^7200 still prints exactly."""
+    tree = '{"vertices":[{"parent":-1,"color":"white","rel":"eq","k":7200}]}'
+    expected = str(Decimal(catalan(7200)))
+    code, out, _ = run(capsys, "--json", "sum", tree)
+    assert code == 0
+    [term] = json.loads(out)["closed_form_json"]["terms"]
+    assert term["coeff"] == {"7200": expected}
+    code, out, _ = run(capsys, "--json", "series", tree, "--order", "7200")
+    assert code == 0
+    assert json.loads(out)["series"][7200] == expected
+    code, out, _ = run(capsys, "series", tree, "--order", "7200")
+    assert code == 0 and out == f"series: {expected}*t^7200\n"
 
 
 def test_star_needs_pi_beyond_100_places(capsys):

@@ -53,8 +53,7 @@ def cases() -> list[list[str]]:
         for m in enumerate_meanders(size):
             out.append(["--json", "meander", "--upper", _arcs(m.upper), "--lower", _arcs(m.lower)])
     out.append(["--json", "star", "--s", "3", "--partial", "100"])
-    # partial sums at large N and s, on both sides of the switch from the
-    # term-by-term loop to the certificate at 10 s terms
+    # partial sums at large s and N, with N both below and above 10 s
     out.append(["--json", "star", "--s", "64", "--partial", "3000"])
     out.append(["--json", "star", "--s", "200", "--partial", "300"])
     out.append(["--json", "star", "--s", "200", "--partial", "2001"])

@@ -32,7 +32,13 @@ from catsum.trees import (
     parse_plain,
 )
 
-from conftest import long_star_tree, random_decorated_tree, sumexpr_series, two_vertex
+from conftest import (
+    brute_force_edge,
+    long_star_tree,
+    random_decorated_tree,
+    sumexpr_series,
+    two_vertex,
+)
 
 S0 = base_sum(REL_EQ, 0)
 
@@ -508,7 +514,6 @@ def test_engine_on_all_small_half_edge_trees(shared_engine):
     """Every rooting of every free tree with <= 6 vertices, with the
     half-edge at the root: engine equals the edge-variable oracle, and the
     root inequality keeps the value inside the extended algebra."""
-    from catsum.series import brute_force_edge
     from catsum.trees import enumerate_free_trees, reroot
 
     for n in range(1, 7):

@@ -13,7 +13,6 @@ from catsum.series import (
     NegativePowerResidue,
     TruncatedSeries,
     brute_force_decorated,
-    brute_force_edge,
     catalan,
     catalan_power_coeff,
     generator_series,
@@ -37,6 +36,7 @@ from catsum.trees import (
 )
 
 from conftest import (
+    brute_force_edge,
     enumerate_decorated,
     hypergeom_series,
     long_star_tree,

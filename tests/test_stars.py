@@ -1,6 +1,7 @@
 """Star values, recurrences, hypergeometric partial sums, asymptotics."""
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -80,6 +81,13 @@ def test_partial_sums():
         star_3f2_partial(0, 5)
 
 
+def _added_up(s, terms):
+    """S_N with its terms added one by one, as integers over 16^N: the
+    reference for the certificate at an N where a sum of star_term is slow."""
+    _, e = next(islice(stars._scaled_terms(s), terms, None))
+    return Fraction(e // 16, 16 ** (terms - 1))
+
+
 def _ratio(s, n):
     """t_{n+1} / t_n of the partial-sum series, written out."""
     return Fraction(
@@ -98,9 +106,7 @@ def test_certificate_found_and_telescopes_for_s_up_to_64():
     for n in range(4):
         assert _ratio(7, n) == star_term(7, n + 1) / star_term(7, n)
     for s in range(1, 65):
-        certificate = _certificate(s)
-        assert certificate is not None, s
-        assert len(certificate[0]) == s + 3, s  # deg P = s + 2
+        assert len(_certificate(s)[0]) == s + 3, s  # deg P = s + 2
         # g(n+1) r(n) - g(n) = 1, here also far past the points the builder checked
         for n in (0, 1, s + 5, s + 6, 2 * s + 11, 1000):
             g, g_next = _certificate_value(s, n), _certificate_value(s, n + 1)
@@ -123,10 +129,10 @@ def test_certificate_limit_derives_star_eval():
     assert gammas[:3] == [4, -8, 0] and not any(gammas[2:])
 
 
-def test_partial_sums_on_both_sides_of_the_certificate_switch():
-    # the loop adds up to 10 s terms; from 10 s + 1 on the certificate serves
+def test_partial_sums_equal_term_sums_at_small_n():
+    # the certificate is built from the terms at n <= s + 3, and serves every N
     for s in range(1, 13):
-        for terms in (s + 2, s + 3, s + 4, 10 * s, 10 * s + 1):
+        for terms in [*range(1, s + 5), 10 * s, 10 * s + 1]:
             assert star_3f2_partial(s, terms) == sum(
                 (star_term(s, n) for n in range(terms)), Fraction(0)
             ), (s, terms)
@@ -135,16 +141,28 @@ def test_partial_sums_on_both_sides_of_the_certificate_switch():
 def test_partial_sums_at_large_n_and_without_certificate(monkeypatch):
     by_certificate = {(5, 1000): star_3f2_partial(5, 1000), (40, 3000): star_3f2_partial(40, 3000)}
     assert by_certificate[5, 1000] == sum((star_term(5, n) for n in range(1000)), Fraction(0))
-    # with no certificate the terms are added one by one, to the same value;
-    # at N = 3,000 that loop is the reference (a sum of star_term takes seconds)
-    monkeypatch.setattr(stars, "_certificate", lambda s: None)
+    # the terms added one by one give the same values; at N = 3,000 that
+    # loop is the reference (a sum of star_term takes seconds)
     for (s, terms), value in by_certificate.items():
-        assert star_3f2_partial(s, terms) == value, (s, terms)
+        assert _added_up(s, terms) == value, (s, terms)
     # a false certificate, P(n) = (1 + n)/7 here, can leave a remainder over
     # 16^(N-1): that is an error, never a rounded sum
     monkeypatch.setattr(stars, "_certificate", lambda s: ((1, 1), 7))
     with pytest.raises(ArithmeticError):
         star_3f2_partial(5, 1000)
+
+
+def test_certificate_of_wrong_terms_fails_its_identity(monkeypatch):
+    terms = stars._scaled_terms
+
+    def off_by_one_at_2(s):
+        for n, (c, e) in enumerate(terms(s)):
+            yield (c + 1 if n == 2 else c), e
+
+    monkeypatch.setattr(stars, "_scaled_terms", off_by_one_at_2)
+    for s in (1, 3, 7):
+        with pytest.raises(ArithmeticError, match=f"s={s} fails"):
+            _certificate.__wrapped__(s)  # past the cache of true certificates
 
 
 def test_asymptotic_ratio():

@@ -54,7 +54,10 @@ def test_parse_plain():
     p1h = parse_plain("halfedge:()")
     assert p1h.parents == (-1,) and p1h.half_edge
     assert parse_plain(" ( ( ) ( ) ) ").parents == (-1, 0, 0)
-    assert parse_plain(" half edge : ( ( ) ) ") == PlainTree((-1, 0), True)
+    assert parse_plain(" halfedge: ( ( ) ) ") == PlainTree((-1, 0), True)
+    with pytest.raises(TreeSyntaxError) as split_prefix:
+        parse_plain(" half edge : ( ( ) ) ")
+    assert split_prefix.value.position == 1
     with pytest.raises(TreeSyntaxError):
         parse_plain("(()(")
     with pytest.raises(TreeSyntaxError):
