@@ -37,6 +37,7 @@ from .algebra import (
     ZERO,
     AlgebraElement,
     Laurent,
+    PiPoly,
     catalan_gf,
     hypergeom_hk,
 )
@@ -193,12 +194,18 @@ class Engine:
     single-owner object; distinct instances are fully independent and the
     rule functions themselves are pure.  `cycles` counts the trees that
     `reduce` rewrote with `step`, over all calls; a memo hit costs none.
+    `at_quarter` maps the canonical text of a plain tree (the text that
+    `trees.parse_plain` reads back, `halfedge:` prefix included) to
+    S(T)(1/4) of its canonical decoration; `meanders.probability` fills it
+    on a miss.  Like the memo it belongs to this instance alone and is not
+    locked, so an engine must not be shared between threads.
     """
 
     def __init__(self, max_cycles: int = 10**5, trace=None):
         self.max_cycles = max_cycles
         self.trace = trace
         self.memo: dict[bytes, AlgebraElement] = {}
+        self.at_quarter: dict[str, PiPoly] = {}
         self.cycles = 0
 
     # -- public entry points ----------------------------------------------

@@ -14,9 +14,12 @@ percolation model has this exact shape is
 an exact polynomial in 1/pi.
 
 One walk along the curve tests for a single loop, so enumeration builds a
-`Meander` only for the pairs of matchings that pass; one stack walk per side
-finds the face owning each segment, and the breadth-first walk of `trees`
-finds the components of the face graph.
+`Meander`, without checking its own matchings again, only for the pairs
+that pass.  `faces`, `forest` and `probability` share one pass over the
+face graph: one stack walk per side finds the face owning each segment,
+and one breadth-first walk of `trees` per component finds the components
+and their canonical texts.  Each distinct tree's value at t = 1/4 is
+computed once per `Engine`, in `Engine.at_quarter`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,16 @@ from itertools import combinations
 
 from .algebra import PiPoly
 from .engine import Engine
-from .trees import PlainTree, _rooted, canonical_decorate, centroid_rooted, plain_from_adjacency
+from .trees import (
+    HALF_EDGE_PREFIX,
+    PlainTree,
+    _canonical_centroid,
+    _canonical_text,
+    _preorder,
+    _rooted,
+    canonical_decorate,
+    parse_plain,
+)
 
 UPPER, LOWER = "upper", "lower"
 
@@ -60,19 +72,28 @@ class MeanderSizeError(MeanderError):
 Matching = tuple[tuple[int, int], ...]
 
 
-def _single_loop(upper: Matching, lower: Matching) -> bool:
-    """Whether the arcs of two perfect matchings of the same points close
-    into one loop; two empty matchings pass."""
-    up, low = [0] * (2 * len(upper)), [0] * (2 * len(lower))
-    for partner, matching in ((up, upper), (low, lower)):
-        for a, b in matching:
-            partner[a], partner[b] = b, a
+def _partners(matching: Matching) -> list[int]:
+    """Each point's partner under a perfect matching of 0..2n-1."""
+    partner = [0] * (2 * len(matching))
+    for a, b in matching:
+        partner[a], partner[b] = b, a
+    return partner
+
+
+def _single_loop(up: list[int], low: list[int]) -> bool:
+    """Whether the arcs of two perfect matchings of the same points, given
+    by `_partners`, close into one loop; two empty matchings pass."""
     point, length = 0, 0
     while length < len(up):
         point, length = low[up[point]], length + 2
         if point == 0:
             break
     return length == len(up)
+
+
+def _check_size(size: int) -> None:
+    if size < 1:
+        raise MeanderSizeError(f"a meander has size at least 1, got {size}")
 
 
 def _normalize_matching(pairs, n: int, side: str) -> Matching:
@@ -105,13 +126,20 @@ class Meander:
     lower: Matching
 
     def __post_init__(self):
-        if self.size < 1:
-            raise MeanderSizeError(f"a meander has size at least 1, got {self.size}")
+        _check_size(self.size)
         n = 2 * self.size
         object.__setattr__(self, "upper", _normalize_matching(self.upper, n, UPPER))
         object.__setattr__(self, "lower", _normalize_matching(self.lower, n, LOWER))
-        if not _single_loop(self.upper, self.lower):
+        if not _single_loop(_partners(self.upper), _partners(self.lower)):
             raise MultipleLoops("the two matchings do not form a single loop")
+
+    @classmethod
+    def _trusted(cls, size: int, upper: Matching, lower: Matching) -> "Meander":
+        """The meander of two matchings with sorted arcs known to form one
+        loop, built without the checks of `__post_init__`."""
+        meander = object.__new__(cls)
+        meander.__dict__.update(size=size, upper=upper, lower=lower)
+        return meander
 
     def reflected(self) -> "Meander":
         """Left-right mirror image: relabel i -> 2k-1-i."""
@@ -173,103 +201,136 @@ class Face:
     interior: bool
 
 
-def faces(meander: Meander) -> list[Face]:
-    """One face per arc; every unit segment belongs to at most one face per side."""
-    out = []
-    for side, matching in ((UPPER, meander.upper), (LOWER, meander.lower)):
-        owner: dict[tuple[int, int], list[int]] = {arc: [] for arc in matching}
-        right = dict(matching)
-        # The arcs open over segment i form a stack, the innermost on top.
-        open_arcs: list[tuple[int, int]] = []
-        for i in range(2 * meander.size - 1):
-            if i in right:
-                open_arcs.append((i, right[i]))
-            else:
-                open_arcs.pop()
-            if open_arcs:
-                owner[open_arcs[-1]].append(i)
-        for arc in matching:
-            indices = tuple(owner[arc])
-            assert indices, f"face of arc {arc} owns no segment"
-            parities = {i % 2 for i in indices}
-            assert len(parities) == 1, f"face of arc {arc} mixes parities"
-            out.append(Face(side, arc, indices, interior=(indices[0] % 2 == 0)))
-    uncovered = set(range(2 * meander.size - 1))
-    for face in out:
-        uncovered -= set(face.indices)
-    assert not uncovered, f"segments {sorted(uncovered)} touch no bounded face"
-    return out
-
-
-def forest(meander: Meander) -> list[PlainTree]:
-    """Faces become vertices; each segment joins its two incident faces, or
-    contributes a half-edge when one side of it is unbounded.
-
-    The interior faces always form a single tree without half-edge; every
-    other component carries exactly one half-edge and is rooted at its
-    extremity.
+def _face_graph(meander: Meander):
+    """The checked face graph of `meander` as (arcs, owned, interior,
+    components).  Face f bounds the arc `arcs[f]` = (side, arc), upper arcs
+    first, each side in arc order; it owns the segment indices `owned[f]`,
+    and `interior[f]` tells their parity.  Each component of the face graph
+    is (least face, root, kids, text): `_rooted` walked it once from `root`,
+    its half-edge face if it has one, with children lists `kids`, and
+    `text` is its canonical text, the least over its centroids for the
+    interior component and from the root, after `halfedge:`, for the others.
+    Components are ordered by their least face.
     """
-    all_faces = faces(meander)
-    by_side_segment: dict[tuple[str, int], int] = {}
-    for idx, face in enumerate(all_faces):
-        for i in face.indices:
-            by_side_segment[(face.side, i)] = idx
+    segments = 2 * meander.size - 1
+    arcs: list[tuple[str, tuple[int, int]]] = []
+    owned: list[list[int]] = []
+    owner = {}  # side -> the face owning each segment on that side, or None
+    for side, matching in ((UPPER, meander.upper), (LOWER, meander.lower)):
+        face_at = {a: len(arcs) + j for j, (a, _) in enumerate(matching)}
+        arcs += [(side, arc) for arc in matching]
+        owned += [[] for _ in matching]
+        owner[side] = by_segment = [None] * segments
+        # The arcs open over segment i form a stack, the innermost on top.
+        open_faces: list[int] = []
+        for i in range(segments):
+            if i in face_at:
+                open_faces.append(face_at[i])
+            else:
+                open_faces.pop()
+            if open_faces:
+                by_segment[i] = open_faces[-1]
+                owned[open_faces[-1]].append(i)
+    interior = []
+    for (_, arc), indices in zip(arcs, owned):
+        assert indices, f"face of arc {arc} owns no segment"
+        assert len({i % 2 for i in indices}) == 1, f"face of arc {arc} mixes parities"
+        interior.append(indices[0] % 2 == 0)
 
-    n = len(all_faces)
+    n = len(arcs)
     adjacency: list[list[int]] = [[] for _ in range(n)]
     half_edges = [0] * n
-    for i in range(2 * meander.size - 1):
-        up = by_side_segment.get((UPPER, i))
-        low = by_side_segment.get((LOWER, i))
-        assert up is not None or low is not None
+    for i, (up, low) in enumerate(zip(owner[UPPER], owner[LOWER])):
+        assert up is not None or low is not None, f"segment {i} touches no bounded face"
         if up is not None and low is not None:
             adjacency[up].append(low)
             adjacency[low].append(up)
         else:
             half_edges[up if up is not None else low] += 1
 
-    components: list[PlainTree] = []
+    components = []
     seen: set[int] = set()
     interior_components = 0
-    for start in range(n):
+    # the half-edge faces first, so that each exterior component is walked
+    # from its half-edge face
+    for start in [v for v in range(n) if half_edges[v]] + list(range(n)):
         if start in seen:
             continue
-        # the component breadth-first; a cycle would repeat a vertex in it,
-        # which still fails the edge count below
-        comp = _rooted(adjacency, start)[0]
-        seen.update(comp)
-        n_half = sum(half_edges[v] for v in comp)
-        n_edges = sum(len(adjacency[v]) for v in comp) // 2
-        assert n_edges == len(comp) - 1, "a component of the face graph has a cycle"
-        is_interior = all_faces[comp[0]].interior
-        if is_interior:
+        # a cycle would repeat a vertex in the walk, which still fails the
+        # edge count below
+        order, kids = _rooted(adjacency, start)
+        seen.update(order)
+        n_half = sum(half_edges[v] for v in order)
+        n_edges = sum(len(adjacency[v]) for v in order) // 2
+        assert n_edges == len(order) - 1, "a component of the face graph has a cycle"
+        if interior[start]:
             assert n_half == 0, "interior component with a half-edge"
-            assert all(all_faces[v].interior for v in comp)
+            assert all(interior[v] for v in order)
             interior_components += 1
-            # rooted at a canonical centroid for reproducible output
-            components.append(centroid_rooted(plain_from_adjacency(adjacency, comp[0])))
+            text = _canonical_centroid(adjacency, order, kids)
         else:
             assert n_half == 1, "exterior component without exactly one half-edge"
-            root = next(v for v in comp if half_edges[v])
-            components.append(plain_from_adjacency(adjacency, root, half_edge=True))
+            text = HALF_EDGE_PREFIX + _canonical_text(order, kids)
+        components.append((min(order), start, kids, text))
     assert interior_components == 1, "interior faces split into several trees"
-    return components
+    components.sort()
+    return arcs, owned, interior, components
+
+
+def faces(meander: Meander) -> list[Face]:
+    """One face per arc; every unit segment belongs to at most one face per side."""
+    arcs, owned, interior, _ = _face_graph(meander)
+    return [
+        Face(side, arc, tuple(indices), inside)
+        for (side, arc), indices, inside in zip(arcs, owned, interior)
+    ]
+
+
+def forest(meander: Meander) -> list[PlainTree]:
+    """Faces become vertices; each segment joins its two incident faces, or
+    contributes a half-edge when one side of it is unbounded.
+
+    The interior faces always form a single tree without half-edge, rooted
+    at its canonical centroid with children in canonical order; every other
+    component carries exactly one half-edge and is rooted at its
+    extremity, children in the order of the segments.
+    """
+    return [
+        PlainTree(tuple(_preorder(kids, root)[1]), half_edge=True)
+        if text.startswith(HALF_EDGE_PREFIX)
+        else parse_plain(text)
+        for _, root, kids, text in _face_graph(meander)[3]
+    ]
 
 
 def probability(meander: Meander, engine: Engine | None = None) -> PiPoly:
-    """Exact P(component of 0 has this shape) = 2^(1-4k) k prod S(T_i)(1/4)."""
+    """Exact P(component of 0 has this shape) = 2^(1-4k) k prod S(T_i)(1/4).
+
+    Each S(T_i)(1/4) is looked up by the canonical text of T_i in
+    `engine.at_quarter`, and reduced only on a miss."""
     engine = engine or Engine()
     k = meander.size
     value = PiPoly.const(Fraction(2) ** (1 - 4 * k) * k)
-    for tree in forest(meander):
-        value = value * engine.reduce(canonical_decorate(tree)).eval_quarter()
+    at_quarter = engine.at_quarter
+    for *_, text in _face_graph(meander)[3]:
+        if text not in at_quarter:
+            tree = canonical_decorate(parse_plain(text))
+            at_quarter[text] = engine.reduce(tree).eval_quarter()
+        value = value * at_quarter[text]
     return value
 
 
 def enumerate_meanders(k: int) -> list[Meander]:
     """All meanders of size k (pairs of non-crossing matchings forming one loop)."""
+    _check_size(k)
     matchings = noncrossing_matchings(2 * k)
-    return [Meander(k, up, low) for up in matchings for low in matchings if _single_loop(up, low)]
+    partners = [_partners(m) for m in matchings]
+    return [
+        Meander._trusted(k, up, low)
+        for up, up_partners in zip(matchings, partners)
+        for low, low_partners in zip(matchings, partners)
+        if _single_loop(up_partners, low_partners)
+    ]
 
 
 def noncrossing_matchings(n: int) -> list[Matching]:

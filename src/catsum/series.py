@@ -134,6 +134,15 @@ def _series(poly: Laurent, order: int, residue: str | None = None) -> TruncatedS
     return res
 
 
+def _catalans(order: int) -> list[int]:
+    """Cat_0..Cat_order by Cat_{n+1} = Cat_n 2(2n+1)/(n+2), one small product
+    each: a binomial per index took 17 s at order 7,200."""
+    cat = [1]
+    for n in range(order):
+        cat.append(cat[n] * (4 * n + 2) // (n + 2))
+    return cat
+
+
 def generator_series(which: str, order: int) -> TruncatedSeries:
     """Series of a named generator: H1, H2, s or the Catalan series C.
 
@@ -142,11 +151,7 @@ def generator_series(which: str, order: int) -> TruncatedSeries:
     C  = sum_n Cat_n t^n
     s  = 1 - 2 t C(t)
     """
-    # Cat_0..Cat_order by Cat_{n+1} = Cat_n 2(2n+1)/(n+2), one small product
-    # each: a binomial per index took 17 s at order 7,200
-    cat = [1]
-    for n in range(order):
-        cat.append(cat[n] * (4 * n + 2) // (n + 2))
+    cat = _catalans(order)
     if which == "C":
         terms = dict(enumerate(cat))
     elif which == "s":
@@ -210,13 +215,14 @@ def brute_force_decorated(
         raise ValueError("order must be nonnegative")
     counter = _Budget(budget)
     kappa = tree.shift_sums()
+    cat = _catalans(order)
     tables: dict[int, dict[tuple[int, int], int]] = {}
     for v in tree.postorder():
         deco = tree.decos[v]
         if deco.color == GRAY:
             table = {(0, 0): 1}
         else:
-            table = {(deco.color * w, w): catalan(w) for w in range(order + 1)}
+            table = {(deco.color * w, w): cat[w] for w in range(order + 1)}
         for child in tree.children[v]:
             # The child's entries by degree, so each of ours pairs with a prefix.
             below = sorted(tables.pop(child).items(), key=lambda item: item[0][1])

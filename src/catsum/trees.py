@@ -611,34 +611,34 @@ def _rooted(adj: list[list[int]], root: int) -> tuple[list[int], list]:
     return order, kids
 
 
-def _canonical_text(adj: list[list[int]], root: int) -> str:
-    """The text of the tree spanned by the adjacency lists from `root`, with
-    each vertex's children in canonical order: a vertex is "(", its
-    children's texts sorted, then ")" (the AHU encoding).  `parse_plain`
-    reads it back as the canonical layout."""
-    order, kids_of = _rooted(adj, root)
+def _canonical_text(order: list[int], kids: list) -> str:
+    """The text of the tree that `_rooted` walked as (order, kids), with each
+    vertex's children in canonical order: a vertex is "(", its children's
+    texts sorted, then ")" (the AHU encoding).  `parse_plain` reads it back
+    as the canonical layout."""
     text: dict[int, str] = {}  # finished subtrees, until their parent takes them
     for v in reversed(order):
-        text[v] = "(" + "".join(sorted([text.pop(c) for c in kids_of[v]])) + ")"
-    return text[root]
+        text[v] = "(" + "".join(sorted([text.pop(c) for c in kids[v]])) + ")"
+    return text[order[0]]
 
 
-def _canonical_centroid(adj: list[list[int]]) -> str:
-    """The canonical text of the free tree: the least over its centroids."""
-    return min(_canonical_text(adj, root) for root in _centroids(adj))
+def _canonical_centroid(adj: list[list[int]], order: list[int], kids: list) -> str:
+    """The canonical text of the free tree that `_rooted` walked in `adj` as
+    (order, kids): the least over its centroids."""
+    return min(_canonical_text(*_rooted(adj, root)) for root in _centroids(order, kids))
 
 
-def _centroids(adj: list[list[int]]) -> list[int]:
-    """The vertices whose heaviest component, once removed, is smallest."""
-    n = len(adj)
-    order, kids = _rooted(adj, 0)
-    size = [1] * n
+def _centroids(order: list[int], kids: list) -> list[int]:
+    """The vertices of the tree that `_rooted` walked as (order, kids) whose
+    heaviest component, once removed, is smallest."""
+    n, root = len(order), order[0]
+    size = [1] * len(kids)
     for v in reversed(order):
         for c in kids[v]:
             size[v] += size[c]
     best, out = None, []
-    for v in range(n):
-        heaviest = max([size[c] for c in kids[v]] + ([n - size[v]] if v else []), default=0)
+    for v in order:
+        heaviest = max([size[c] for c in kids[v]] + ([n - size[v]] if v != root else []), default=0)
         if best is None or heaviest < best:
             best, out = heaviest, [v]
         elif heaviest == best:
@@ -652,12 +652,6 @@ def _adjacency(tree: PlainTree) -> list[list[int]]:
         adj[v].append(tree.parents[v])
         adj[tree.parents[v]].append(v)
     return adj
-
-
-def plain_from_adjacency(adj: list[list[int]], root: int, half_edge: bool = False) -> PlainTree:
-    """The tree spanned by the adjacency lists from `root`, in preorder,
-    children in adjacency order."""
-    return PlainTree(tuple(_preorder(_rooted(adj, root)[1], root)[1]), half_edge)
 
 
 def enumerate_free_trees(n: int) -> list[PlainTree]:
@@ -676,17 +670,9 @@ def enumerate_free_trees(n: int) -> list[PlainTree]:
                 adj = _adjacency(tree)
                 adj[v].append(size - 1)
                 adj.append([v])
-                texts.add(_canonical_centroid(adj))
+                texts.add(_canonical_centroid(adj, *_rooted(adj, 0)))
         trees = [parse_plain(text) for text in sorted(texts)]
     return trees
-
-
-def centroid_rooted(tree: PlainTree) -> PlainTree:
-    """The same free tree rerooted at its canonical centroid, children in
-    canonical order (only meaningful for trees without half-edge)."""
-    if tree.half_edge:
-        raise ValueError("half-edge trees are rooted at the half-edge extremity")
-    return parse_plain(_canonical_centroid(_adjacency(tree)))
 
 
 def reroot(tree: PlainTree, new_root: int, half_edge: bool = False) -> PlainTree:
@@ -695,4 +681,5 @@ def reroot(tree: PlainTree, new_root: int, half_edge: bool = False) -> PlainTree
         raise ValueError("half-edge trees are rooted at the half-edge extremity")
     if not 0 <= new_root < len(tree):
         raise ValueError(f"root {new_root} is not a vertex of a tree on {len(tree)} vertices")
-    return plain_from_adjacency(_adjacency(tree), new_root, half_edge)
+    kids = _rooted(_adjacency(tree), new_root)[1]
+    return PlainTree(tuple(_preorder(kids, new_root)[1]), half_edge)

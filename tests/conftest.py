@@ -1,7 +1,8 @@
-"""Shared helpers: random decorated trees, two-vertex and star builders,
-sum-expression evaluation through the oracle, the exhaustive enumerations of
-the vertex and of the edge variables, the raw 2F1 series and its value at 1,
-the (B_s, C_s) star cross-check and the decorated-tree JSON writer."""
+"""Shared helpers: random decorated trees, the canonical centroid rooting of
+a free tree, two-vertex and star builders, sum-expression evaluation through
+the oracle, the exhaustive enumerations of the vertex and of the edge
+variables, the raw 2F1 series and its value at 1, the (B_s, C_s) star
+cross-check and the decorated-tree JSON writer."""
 
 from __future__ import annotations
 
@@ -32,6 +33,10 @@ from catsum.trees import (
     Decoration,
     DecoratedTree,
     PlainTree,
+    _adjacency,
+    _canonical_centroid,
+    _rooted,
+    parse_plain,
 )
 
 
@@ -49,6 +54,13 @@ def random_decorated_tree(rng, max_vertices=7, max_nongray=6, kmin=-2, kmax=2):
             color = GRAY
         decos.append(Decoration(color, rng.choice(RELATIONS), rng.randint(kmin, kmax)))
     return DecoratedTree(tuple(parents), tuple(decos))
+
+
+def centroid_rooted(tree: PlainTree) -> PlainTree:
+    """The free tree `tree`, which has no half-edge, rerooted at its
+    canonical centroid with children in canonical order."""
+    adj = _adjacency(tree)
+    return parse_plain(_canonical_centroid(adj, *_rooted(adj, 0)))
 
 
 def two_vertex(rel, shift, root_color=WHITE) -> DecoratedTree:

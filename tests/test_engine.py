@@ -28,12 +28,12 @@ from catsum.trees import (
     DecoratedTree,
     canonical_decorate,
     canonical_key,
-    centroid_rooted,
     parse_plain,
 )
 
 from conftest import (
     brute_force_edge,
+    centroid_rooted,
     long_star_tree,
     random_decorated_tree,
     sumexpr_series,

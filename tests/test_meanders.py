@@ -1,7 +1,18 @@
-"""Meanders: parsing, faces, the face forest, exact probabilities."""
+"""Meanders: parsing, faces, the face forest, exact probabilities.
 
+`data/meander_totals.json` records, for each size, the meander count, the
+exact sum of the probabilities and its 12-place truncation.  Record sizes
+1..N again with
+
+    PYTHONPATH=src python tests/test_meanders.py N
+"""
+
+import json
 import random
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +33,26 @@ from catsum.meanders import (
     probability,
 )
 from catsum.series import catalan
-from catsum.trees import plain_to_text
+from catsum.trees import canonical_decorate, plain_to_text
+
+TOTALS = Path(__file__).parent / "data" / "meander_totals.json"
+
+
+def reference_probability(meander, engine=None):
+    """The forest product, one reduction and one `eval_quarter` per tree."""
+    engine = engine or Engine()
+    k = meander.size
+    value = PiPoly.const(Fraction(2) ** (1 - 4 * k) * k)
+    for tree in forest(meander):
+        value = value * engine.reduce(canonical_decorate(tree)).eval_quarter()
+    return value
+
+
+def sweep_total(meanders, engine):
+    total = PiPoly()
+    for m in meanders:
+        total = total + probability(m, engine)
+    return total
 
 
 def test_parse_and_validate():
@@ -168,17 +198,63 @@ def test_probability_exact_values():
 
 
 def test_probability_reflection_invariance():
-    rng = random.Random(23)
+    """Invariant under the left-right mirror and under swapping the upper
+    and lower matchings, for every meander of size at most 5."""
     engine = Engine()
-    found = 0
-    while found < 15:
-        k = rng.randint(1, 4)
-        try:
-            m = Meander(k, _random_matching(rng, 2 * k), _random_matching(rng, 2 * k))
-        except MultipleLoops:
-            continue
-        found += 1
-        assert probability(m, engine) == probability(m.reflected(), engine)
+    for k in range(1, 6):
+        for m in enumerate_meanders(k):
+            p = probability(m, engine)
+            assert p == probability(m.reflected(), engine), m
+            assert p == probability(Meander(k, m.lower, m.upper), engine), m
+
+
+def test_probability_matches_forest_reference():
+    engine, reference_engine = Engine(), Engine()
+    for k in range(1, 6):
+        for m in enumerate_meanders(k):
+            assert probability(m, engine) == reference_probability(m, reference_engine), m
+
+
+def test_shared_and_fresh_engine_agree():
+    shared = Engine()
+    meanders = enumerate_meanders(5)
+    values = [probability(m, shared) for m in meanders]
+    assert len(shared.at_quarter) < len(meanders)  # trees recur across meanders
+    for i in random.Random(24).sample(range(len(meanders)), 20):
+        assert probability(meanders[i], Engine()) == values[i], meanders[i]
+
+
+def test_enumeration_builds_the_checked_meanders():
+    """The meanders enumeration builds without checks are those the
+    checked constructor accepts, in the order of their matchings."""
+    for k in range(1, 5):
+        matchings = noncrossing_matchings(2 * k)
+        checked = []
+        for up in matchings:
+            for low in matchings:
+                try:
+                    checked.append(Meander(k, up, low))
+                except MultipleLoops:
+                    pass
+        assert enumerate_meanders(k) == checked
+    assert [len(enumerate_meanders(k)) for k in range(1, 6)] == [1, 2, 8, 42, 262]
+
+
+def test_running_total_below_one():
+    """Sizes 1..6 have the recorded totals, and the sum over them of the
+    shape probabilities stays below 1 (certified by the truncation)."""
+    recorded = json.loads(TOTALS.read_text())
+    for record in recorded.values():
+        total = PiPoly({d: Fraction(c) for d, c in record["total"]})
+        assert total.to_decimal(12) == record["decimal"]
+    engine, running = Engine(), PiPoly()
+    for k in range(1, 7):
+        meanders = enumerate_meanders(k)
+        total = sweep_total(meanders, engine)
+        assert len(meanders) == recorded[str(k)]["meanders"], k
+        assert total.to_json() == recorded[str(k)]["total"], k
+        running = running + total
+    assert Fraction(running.to_decimal(12)) + Fraction(1, 10**12) <= 1
 
 
 def test_noncrossing_matching_counts():
@@ -199,3 +275,17 @@ def test_exhaustive_sweep_small_sizes():
             total += p.to_fraction()
             assert len(faces(m)) == 2 * k
         assert 0 < total < 1
+
+
+if __name__ == "__main__":
+    engine, totals = Engine(), {}
+    for k in range(1, int(sys.argv[1]) + 1):
+        start = time.process_time()
+        meanders = enumerate_meanders(k)
+        total = sweep_total(meanders, engine)
+        cpu = time.process_time() - start
+        decimal = total.to_decimal(12)
+        totals[k] = {"meanders": len(meanders), "total": total.to_json(), "decimal": decimal}
+        print(f"size {k}: {len(meanders)} meanders, {cpu:.1f} s CPU, total {total}")
+    lines = [f" {json.dumps(str(k))}: {json.dumps(record)}" for k, record in totals.items()]
+    TOTALS.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -27,7 +27,6 @@ from catsum.trees import (
     canonical_decorate,
     PlainTree,
     canonical_key,
-    centroid_rooted,
     classify_fringe,
     enumerate_free_trees,
     parse_decorated,
@@ -45,7 +44,7 @@ from catsum.trees import (
     without_subtree,
 )
 
-from conftest import decorated_to_json, long_star_tree, random_decorated_tree
+from conftest import centroid_rooted, decorated_to_json, long_star_tree, random_decorated_tree
 
 
 def test_parse_plain():
