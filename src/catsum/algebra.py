@@ -33,8 +33,9 @@ Laurent coefficient to its exact rational value, landing in Q[1/pi]
 polynomial arithmetic over Q in the package, and one term renderer
 (`_term`, `_joined`) prints `Laurent`, `AlgebraElement` and truncated
 series alike, writing every rational through `_fraction_text`, exact at
-any size.  `_stored`, `_element`, `_pipoly` and `series._series`
-wrap values already in normal form unchecked, one square-and-multiply
+any size and subquadratic in it.  `_stored`, `_element`, `_pipoly` and
+`series._series` wrap values already in normal form unchecked, as `_coprime`
+wraps a Fraction already in lowest terms, one square-and-multiply
 (`_power`) serves every `**`, and decimals bound pi by Machin's formula on
 integers to as many places as they need.  No floating point is used
 anywhere in this module, which needs only the standard library.
@@ -45,7 +46,7 @@ elements can be shared freely between threads.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -59,11 +60,44 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+# Integers up to this many bits are written by str(Decimal(n)), whose
+# conversion is quadratic; splitting starts to win between 2*10^4 and
+# 5*10^4 bits (CPython 3.11).
+_DECIMAL_BITS = 1 << 15
+
+
+def _int_text(n: int) -> str:
+    """str(n) at any size, not subject to CPython's limit on int-to-string
+    digits.
+
+    Up to `_DECIMAL_BITS` bits it is str(Decimal(n)).  A larger n is split
+    on a power of two, n = hi 2^k + lo with k half its bits, and the halves'
+    decimals are joined by one exact fma; libmpdec multiplies big operands
+    in subquadratic time, so the conversion is too (the method of CPython
+    3.12's `_pylong`): 0.5 s at 4*10^6 bits, where str(Decimal(n)) takes
+    2.4 s at 1.2*10^6.
+    """
+    if n.bit_length() <= _DECIMAL_BITS:
+        return str(Decimal(n))
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+    powers: dict[int, Decimal] = {}  # 2^k for the few k of one conversion
+
+    def joined(m: int, bits: int) -> Decimal:
+        if bits <= _DECIMAL_BITS:
+            return Decimal(m)
+        k = bits >> 1
+        if k not in powers:
+            powers[k] = exact.power(2, k)
+        hi = m >> k
+        return exact.fma(joined(hi, bits - k), powers[k], joined(m - (hi << k), k))
+
+    return ("-" if n < 0 else "") + str(joined(abs(n), n.bit_length()))
+
+
 def _fraction_text(q: Fraction | int) -> str:
-    """str(q) at any size: formatting through Decimal is exact and not
-    subject to CPython's limit on int-to-string digits."""
-    num = str(Decimal(q.numerator))
-    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+    """str(q) at any size, exactly (`_int_text` for each part)."""
+    num = _int_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_text(q.denominator)}"
 
 
 def _term(v: Fraction, e: int, gens: str = "") -> str:
@@ -88,6 +122,17 @@ def _stored(nums: dict[int, int], den: int) -> "Laurent":
     res = Laurent.__new__(Laurent)
     res.nums = nums
     res.den = den
+    return res
+
+
+def _coprime(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator) for a pair already in lowest terms,
+    denominator > 0, without the gcd (quadratic on huge ints) that the
+    constructor runs.  It sets the two slots every CPython Fraction has
+    (3.10-3.13), since the private shortcuts differ between versions."""
+    res = object.__new__(Fraction)
+    res._numerator = numerator
+    res._denominator = denominator
     return res
 
 

@@ -183,7 +183,7 @@ def _cmd_star(args) -> int:
         hom, inhom = star_recurrence_residual(args.s)
         payload["residuals"] = {"homogeneous": hom.to_json(), "inhomogeneous": inhom.to_json()}
         lines.append(f"recurrence residuals at s={args.s}: {hom.pretty()}, {inhom.pretty()}")
-    if args.partial:
+    if args.partial is not None:
         partial = star_3f2_partial(args.s, args.partial)
         gap = abs(partial - value.to_fraction())
         if args.json:  # the exact decimal text is long, and text mode never prints it
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("star", help="star values and recurrence checks")
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--partial", type=int, default=0, help="partial-sum term count")
+    p.add_argument("--partial", type=int, help="partial-sum term count, N >= 1")
     p.set_defaults(func=_cmd_star)
 
     p = sub.add_parser("table", help="recompute the golden table of small trees")

@@ -329,6 +329,9 @@ def test_north_star_recursion_pinned():
         ("engine.py", "base_sum"),
         # hypergeom_hk fills its cache bottom-up on a miss, so one level at most
         ("algebra.py", "hypergeom_hk"),
+        # halves the bits of its int per level: depth log2(bits / 2^15), under
+        # 40 for any int that fits in memory
+        ("algebra.py", "joined"),
         # depth n/2 on n points; the Catalan(n/2) matchings exhaust memory
         # long before that nears the recursion limit
         ("meanders.py", "_matchings"),

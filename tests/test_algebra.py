@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from catsum import algebra
 from catsum.algebra import (
     H1,
     H2,
@@ -16,6 +17,8 @@ from catsum.algebra import (
     AlgebraElement,
     Laurent,
     PiPoly,
+    _coprime,
+    _fraction_text,
     catalan_gf,
     hypergeom_hk,
 )
@@ -423,6 +426,32 @@ def test_rendering_beyond_int_digit_limit():
     assert str(x) == f"{low}*H1 + 1/{denominator}"
     assert x.pretty() == f"({Decimal(den * big)}*H1 + 1)/({denominator})"
     assert x.to_json()["terms"][1]["coeff"] == {"0": f"1/{denominator}"}
+
+
+def test_coprime_wraps_a_fraction_in_lowest_terms():
+    for num, den in [(0, 1), (1, 1), (-1, 1), (3, 4), (-3, 4), (7, 12), (2**70 + 1, 2**65)]:
+        q, expected = _coprime(num, den), Fraction(num, den)
+        assert type(q) is Fraction and q == expected and hash(q) == hash(expected)
+        assert (q.numerator, q.denominator) == (num, den) and str(q) == str(expected)
+        assert q + 1 == expected + 1 and q * q == expected**2 and q < expected + 1
+
+
+def test_int_text_is_str_of_decimal_at_every_size():
+    """`_fraction_text` equals str(Decimal(.)) below, at and above the size
+    where it stops calling Decimal, and never raises CPython's
+    int-to-string ValueError."""
+    rng = random.Random(18)
+    base = algebra._DECIMAL_BITS
+    values = [0, 1, -1, 10, -10**4400, 2**base, 2**base - 1, 2**base + 1, 2**(2 * base)]
+    values += [10**k for k in (4299, 4300, 9864, 9865, 10**5 - 1)] + [-(2 ** (3 * base + 7))]
+    for bits in (base - 1, base, base + 1, 2 * base + 3, 5 * base + 1):
+        values += [rng.getrandbits(bits) | 1 << (bits - 1), -rng.getrandbits(bits)]
+    values.append(-rng.randrange(10**99_999, 10**100_000))  # 10^5 digits
+    for n in values:
+        assert _fraction_text(n) == str(Decimal(n)), n.bit_length()
+    for num, den in [(values[-1], 3**209_590 + 2), (-3, 7)]:
+        q = Fraction(num, den)
+        assert _fraction_text(q) == f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 # pi to 100 places, as printed in reference tables.

@@ -66,6 +66,17 @@ def test_unreadable_tree_path_exit_2(tmp_path, capsys):
     assert json.loads(out)["kind"] == "IsADirectoryError"
 
 
+def test_star_partial_below_one_exit_2(capsys):
+    """--partial 0 is an error like every N below 1, not an omitted option."""
+    for n in ("0", "-5"):
+        code, out, err = run(capsys, "star", "--s", "3", "--partial", n)
+        assert code == 2 and not out and err.startswith("error: "), n
+        code, out, _ = run(capsys, "--json", "star", "--s", "3", "--partial", n)
+        assert code == 2 and json.loads(out)["kind"] == "ValueError", n
+    code, out, _ = run(capsys, "star", "--s", "3")
+    assert code == 0 and "partial sum" not in out
+
+
 def test_negative_order_exit_2(capsys):
     for verb in ("verify", "series"):
         code, out, err = run(capsys, verb, "(())", "--order", "-3")

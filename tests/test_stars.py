@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -144,12 +144,32 @@ def test_partial_sums_at_large_n_and_without_certificate(monkeypatch):
     # the terms added one by one give the same values; at N = 3,000 that
     # loop is the reference (a sum of star_term takes seconds)
     for (s, terms), value in by_certificate.items():
-        assert _added_up(s, terms) == value, (s, terms)
+        assert _added_up(s, terms) == value and _lowest_dyadic(value), (s, terms)
     # a false certificate, P(n) = (1 + n)/7 here, can leave a remainder over
     # 16^(N-1): that is an error, never a rounded sum
     monkeypatch.setattr(stars, "_certificate", lambda s: ((1, 1), 7))
     with pytest.raises(ArithmeticError):
         star_3f2_partial(5, 1000)
+
+
+def _lowest_dyadic(value):
+    """value is in lowest terms over a power of two, as the normalising
+    constructor would leave it."""
+    num, den = value.numerator, value.denominator
+    return gcd(num, den) == 1 and den & (den - 1) == 0 and value == Fraction(num, den)
+
+
+def test_central_binomial_is_comb():
+    for n in [*range(501), 30_000]:
+        assert stars._central_binomial(n) == comb(2 * n, n), n
+
+
+def test_partial_sums_are_dyadic_in_lowest_terms():
+    # at s = 16, S_2 = 1 + 16/16 = 2: more factors of two than 16^(N-1) has
+    for s in (1, 2, 3, 7, 16):
+        for terms in range(1, 51):
+            value = star_3f2_partial(s, terms)
+            assert _lowest_dyadic(value) and value == _added_up(s, terms), (s, terms)
 
 
 def test_certificate_of_wrong_terms_fails_its_identity(monkeypatch):
