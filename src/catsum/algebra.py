@@ -22,9 +22,10 @@ gcd(den, *nums) == 1 and den == 1 for the zero polynomial.  That stored
 form is unique, so equality and hashing compare it directly, and each
 operation does integer arithmetic followed by one gcd normalisation.
 A product multiplies the operand with more generator keys by each key of
-the other (`_times_monomial`) and adds the parts up with `_merge`, the one
-add-in-and-drop-zero loop, which `+` uses too.  A one-term coefficient,
-such as 1, -1, 1/t or 1/t^2, scales and shifts instead of convolving.
+the other (`_times_monomial`), takes the first part as the result and adds
+the others into it with `_merge`, the one add-in-and-drop-zero loop, which
+`+` uses too.  A one-term coefficient, such as 1, -1, 1/t or 1/t^2, scales
+and shifts instead of convolving.
 
 Evaluation at t = 1/4 sends s -> 0, H1 -> 4/pi, H2 -> 8/(3 pi) and every
 Laurent coefficient to its exact rational value, landing in Q[1/pi]
@@ -415,17 +416,17 @@ class AlgebraElement:
         if self == ONE:
             return other
         small, big = (self, other) if len(self.terms) < len(other.terms) else (other, self)
-        out: dict[tuple[int, int, int], Laurent] = {}
-        for key, p in small.terms.items():
-            _merge(out, big._times_monomial(key, p).terms)
+        out, *rest = [big._times_monomial(key, p) for key, p in small.terms.items()]
+        for part in rest:  # `out` is a fresh dict, so the rest merge into it
+            _merge(out, part)
         return _element(out)
 
     __rmul__ = __mul__
 
-    def _times_monomial(self, key: tuple[int, int, int], p: Laurent) -> "AlgebraElement":
-        """self * p * H1^a H2^b s^c for any nonzero Laurent p: distinct keys
-        stay distinct and Q[t, 1/t] has no zero divisors, so nothing is
-        merged or dropped."""
+    def _times_monomial(self, key: tuple[int, int, int], p: Laurent) -> dict:
+        """The terms of self * p * H1^a H2^b s^c for any nonzero Laurent p:
+        distinct keys stay distinct and Q[t, 1/t] has no zero divisors, so
+        nothing is merged or dropped."""
         ma, mb, mc = key
         out = {}
         for (a, b, c), coeff in self.terms.items():
@@ -434,7 +435,7 @@ class AlgebraElement:
                 out[(a + ma, b + mb, 0)] = coeff * L_S_SQUARED  # s^2 = 1 - 4t
             else:
                 out[(a + ma, b + mb, c + mc)] = coeff
-        return _element(out)
+        return out
 
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:
@@ -452,7 +453,7 @@ class AlgebraElement:
         return _element({key: v.shift(k) for key, v in self.terms.items()})
 
     def mul_laurent(self, p: Laurent) -> "AlgebraElement":
-        return ZERO if p.is_zero() else self._times_monomial((0, 0, 0), p)
+        return ZERO if p.is_zero() else _element(self._times_monomial((0, 0, 0), p))
 
     def __truediv__(self, other) -> "AlgebraElement":
         """Division by a nonzero rational or a rational multiple of t^k."""

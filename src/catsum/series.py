@@ -7,8 +7,9 @@ elements into series (one truncated sum over the generator series of H1,
 H2 and s, which like the Catalan series C have explicit coefficient
 formulas) and computes tree sums directly from their defining summation
 over the vertex variables, the independent ground truth everything else is
-checked against: a postorder tree DP, O(n * N^4) on n vertices at order N,
-that shares no code with the engine.
+checked against: a tree DP over the vertices in reverse index order, so
+children before parents, O(n * N^4) on n vertices at order N, that shares
+no code with the engine.
 """
 
 from __future__ import annotations
@@ -182,18 +183,6 @@ def series_expand(x: AlgebraElement, order: int) -> TruncatedSeries:
     return _series(total, order)
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, budget: int):
-        self.left = budget
-
-    def spend(self, n: int = 1):
-        self.left -= n
-        if self.left < 0:
-            raise BudgetExceededError("oracle work budget exhausted")
-
-
 def brute_force_decorated(
     tree: DecoratedTree, order: int, budget: int = DEFAULT_BUDGET
 ) -> TruncatedSeries:
@@ -202,7 +191,8 @@ def brute_force_decorated(
     The coefficient of t^n is the sum, over assignments of nonnegative
     weights to the non-gray vertices with total n that satisfy every vertex
     condition, of the product of the Catalan numbers of the weights.  A
-    postorder tree DP computes it: each vertex holds the table
+    tree DP over the vertices in reverse index order, children before
+    parents, computes it: each vertex holds the table
     {(signed subtree sum, degree): count} of its subtree's assignments, a
     white or black vertex starting from {(±w, w): Cat_w} and a gray one from
     {(0, 0): 1}.  Children merge by convolution truncated at `order` (one
@@ -213,11 +203,11 @@ def brute_force_decorated(
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    counter = _Budget(budget)
+    left = budget
     kappa = tree.shift_sums()
     cat = _catalans(order)
     tables: dict[int, dict[tuple[int, int], int]] = {}
-    for v in tree.postorder():
+    for v in reversed(range(len(tree))):
         deco = tree.decos[v]
         if deco.color == GRAY:
             table = {(0, 0): 1}
@@ -230,7 +220,9 @@ def brute_force_decorated(
             merged: dict[tuple[int, int], int] = {}
             for (lsum, ldeg), lcount in table.items():
                 fits = bisect_right(degrees, order - ldeg)
-                counter.spend(fits)
+                left -= fits
+                if left < 0:
+                    raise BudgetExceededError("oracle work budget exhausted")
                 for (rsum, rdeg), rcount in below[:fits]:
                     key = (lsum + rsum, ldeg + rdeg)
                     merged[key] = merged.get(key, 0) + lcount * rcount

@@ -1,8 +1,9 @@
 """Rooted plain and decorated trees, parsers and structural operations.
 
-Trees are stored as parent arrays in preorder (index 0 is the root and
-every parent precedes its children).  A decorated tree attaches to each
-vertex a triple (color, relation, shift):
+Trees are stored as parent arrays: index 0 is the root and every parent
+precedes its children, so a pass in reverse index order visits every child
+before its parent.  Any such layout is accepted, not only preorder.  A
+decorated tree attaches to each vertex a triple (color, relation, shift):
 
   color     white (+1), gray (0) or black (-1); white/black vertices carry
             a summation variable, gray ones only a condition
@@ -11,9 +12,8 @@ vertex a triple (color, relation, shift):
 
 The sum attached to a decorated tree does not depend on the order of
 siblings, so the memoization key encodes each vertex as its decoration
-followed by the sorted encodings of its children.  It is built bottom-up in
-one pass over the vertices in reverse index order, which visits every child
-before its parent (the AHU tree-isomorphism encoding).  Trees are
+followed by the sorted encodings of its children, built bottom-up in one
+reverse-index pass (the AHU tree-isomorphism encoding).  Trees are
 immutable; every structural edit returns a new tree, laid out in preorder.
 One preorder walk (`_preorder`) lays out every tree built from child lists,
 and one breadth-first walk (`_rooted`) roots every adjacency graph for
@@ -163,12 +163,6 @@ class DecoratedTree:
         """The nonroot vertices without children, in index order."""
         children = self.children
         return tuple(v for v in range(1, len(children)) if not children[v])
-
-    def postorder(self) -> list[int]:
-        """Children before parents, siblings in index order."""
-        # Reversed, a postorder visits each vertex before its subtrees and
-        # those subtrees from the last sibling to the first.
-        return _preorder([kids[::-1] for kids in self.children], 0)[0][::-1]
 
     def shift_sums(self) -> tuple[int, ...]:
         """For each vertex, the sum of the shifts over its fringe subtree."""
@@ -409,6 +403,15 @@ def _without(kids, v: int) -> list[int]:
     return out
 
 
+def _dropped(tree: DecoratedTree, pairs, decos) -> DecoratedTree:
+    """`tree` without the subtree of each child in the (parent, child) pairs,
+    with decorations `decos`; ValueError if a child is not under its parent."""
+    kids = list(tree.children)
+    for p, v in pairs:
+        kids[p] = _without(kids[p], v)
+    return _rebuild(kids, decos)
+
+
 def with_decoration(tree: DecoratedTree, v: int, deco: Decoration) -> DecoratedTree:
     decos = list(tree.decos)
     decos[v] = deco
@@ -438,20 +441,15 @@ def without_subtree(tree: DecoratedTree, v: int) -> DecoratedTree:
     """Remove v together with all its descendants (v must not be the root)."""
     if v == 0:
         raise ValueError("cannot remove the root subtree")
-    kids = list(tree.children)
-    p = tree.parents[v]
-    kids[p] = _without(kids[p], v)
-    return _rebuild(kids, tree.decos)
+    return _dropped(tree, ((tree.parents[v], v),), tree.decos)
 
 
 def without_leaves(tree: DecoratedTree, leaves: tuple[int, ...]) -> DecoratedTree:
-    kids = list(tree.children)
+    """Remove the given leaves of `tree`."""
     for v in leaves:
-        if kids[v]:
+        if tree.children[v]:
             raise ValueError(f"vertex {v} is not a leaf")
-        p = tree.parents[v]
-        kids[p] = _without(kids[p], v)
-    return _rebuild(kids, tree.decos)
+    return _dropped(tree, [(tree.parents[v], v) for v in leaves], tree.decos)
 
 
 def with_children_reattached(tree: DecoratedTree, v: int) -> DecoratedTree:
@@ -471,11 +469,9 @@ def with_children_reattached(tree: DecoratedTree, v: int) -> DecoratedTree:
 def with_absorbed_leaf(tree: DecoratedTree, parent: int, leaf: int) -> DecoratedTree:
     """Delete a relation-free leaf and give its color to its gray parent."""
     pd = tree.decos[parent]
-    kids = list(tree.children)
-    kids[parent] = _without(kids[parent], leaf)
     decos = list(tree.decos)
     decos[parent] = Decoration(tree.decos[leaf].color, pd.rel, pd.shift)
-    return _rebuild(kids, decos)
+    return _dropped(tree, ((parent, leaf),), decos)
 
 
 def with_pulled_down_variable(tree: DecoratedTree, v: int, leaf: int) -> DecoratedTree:
@@ -507,12 +503,9 @@ def with_merged_twins(
     tree: DecoratedTree, w1: int, w2: int, merged_deco: Decoration
 ) -> DecoratedTree:
     """Replace the twin leaves w1, w2 by a single leaf with the given decoration."""
-    kids = list(tree.children)
-    p = tree.parents[w1]
-    kids[p] = _without(kids[p], w2)
     decos = list(tree.decos)
     decos[w1] = merged_deco
-    return _rebuild(kids, decos)
+    return _dropped(tree, ((tree.parents[w1], w2),), decos)
 
 
 def with_replaced_fringe(

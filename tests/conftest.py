@@ -15,7 +15,7 @@ from catsum.algebra import PiPoly
 from catsum.series import (
     DEFAULT_BUDGET,
     TruncatedSeries,
-    _Budget,
+    BudgetExceededError,
     _holds,
     brute_force_decorated,
     catalan,
@@ -176,9 +176,10 @@ def enumerate_decorated(tree: DecoratedTree, order: int) -> TruncatedSeries:
     non-gray vertices.
 
     Conditions are checked as soon as all variables under them are assigned,
-    walking the non-gray vertices in postorder.
+    walking the non-gray vertices in reverse index order, children before
+    parents.
     """
-    post = [v for v in tree.postorder() if tree.decos[v].color != GRAY]
+    post = [v for v in reversed(range(len(tree))) if tree.decos[v].color != GRAY]
     kappa = tree.shift_sums()
     # The (variable index, colour) pairs of the non-gray vertices under each
     # vertex, itself included.
@@ -240,7 +241,7 @@ def brute_force_edge(tree: PlainTree, order: int, budget: int = DEFAULT_BUDGET) 
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    counter = _Budget(budget)
+    left = budget - 1  # the root of the search
     n = len(tree.parents)
     # Edge list: (child vertex) encodes the edge to its parent; the half-edge
     # is an extra variable incident only to the root.
@@ -264,7 +265,6 @@ def brute_force_edge(tree: PlainTree, order: int, budget: int = DEFAULT_BUDGET) 
     # stack entry is (edge, degree left, weight to try next); the last edge's
     # weights are summed in place.
     x = [0] * n_edges
-    counter.spend()
     stack = [(0, order, 0)]
     while stack:
         e, degree_left, start = stack.pop()
@@ -272,7 +272,9 @@ def brute_force_edge(tree: PlainTree, order: int, budget: int = DEFAULT_BUDGET) 
         step = 1 if e == half_index else 2
         for w in range(start, degree_left // step + 1):
             x[e] = w
-            counter.spend()
+            left -= 1
+            if left < 0:
+                raise BudgetExceededError("oracle work budget exhausted")
             if e == n_edges - 1:
                 degrees = [sum(x[i] for i in incidence[v]) for v in range(n)]
                 coeffs[sum(degrees)] += prod(catalan(d) for d in degrees)

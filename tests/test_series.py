@@ -251,11 +251,16 @@ def test_budget_guard():
     # One unit per pair of table entries merged within the order (vertex
     # oracle) or per visited node (edge oracle): exact totals, and a budget
     # one unit short raises.
+    # The work depends on the sibling order, so E_8 is pinned in two layouts.
     plain = parse_plain("((())(())())")
     half = parse_plain("halfedge:((())())")
+    e8 = parse_plain(LINE_EXAMPLE_8.tree_text)
+    e8_relaid = PlainTree((-1, 0, 0, 2, 2, 0, 5, 5))
     for oracle, tree, order, total in (
         (brute_force_decorated, canonical_decorate(plain), 10, 1160),
         (brute_force_decorated, canonical_decorate(half), 9, 400),
+        (brute_force_decorated, canonical_decorate(e8), 8, 975),
+        (brute_force_decorated, canonical_decorate(e8_relaid), 8, 1055),
         (brute_force_edge, plain, 10, 462),
         (brute_force_edge, half, 9, 196),
     ):

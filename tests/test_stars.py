@@ -50,6 +50,7 @@ def test_recurrence_residuals():
     for s in (1, 2, 3, 7, 10, 25):
         hom, inhom = star_recurrence_residual(s)
         assert hom.is_zero() and inhom.is_zero(), s
+        assert star_recurrence_residual(s) is star_recurrence_residual(s)  # cached per s
     # spelled-out s=1 instances
     a1, a2, a3 = star_eval(1), star_eval(2), star_eval(3)
     assert a3.scale(5) - a2.scale(2) - a1.scale(4) == PiPoly()
