@@ -34,11 +34,11 @@ Laurent coefficient to its exact rational value, landing in Q[1/pi]
 polynomial arithmetic over Q in the package, and one term renderer
 (`_term`, `_joined`) prints `Laurent`, `AlgebraElement` and truncated
 series alike, writing every rational through `_fraction_text`, exact at
-any size and subquadratic in it.  `_stored`, `_element`, `_pipoly` and
-`series._series` wrap values already in normal form unchecked, as `_coprime`
-wraps a Fraction already in lowest terms, one square-and-multiply
-(`_power`) serves every `**`, and decimals bound pi by Machin's formula on
-integers to as many places as they need.  No floating point is used
+any size and subquadratic in it.  `_stored`, `_element` and `_pipoly`
+wrap values already in normal form unchecked, as `_coprime` wraps a
+Fraction already in lowest terms, one square-and-multiply (`_power`)
+serves every `**`, and decimals bound pi by Machin's formula on integers
+to as many places as they need.  No floating point is used
 anywhere in this module, which needs only the standard library.
 
 All values are immutable once constructed and every operation is pure, so

@@ -14,7 +14,8 @@ repeatedly rewriting it into combinations of strictly simpler trees:
   4. taller good trees are attacked at a height-2 fringe, which is always
      a long star; the star relations, a tridiagonal linear system (one
      rewrite into its right-hand-side stars) and, for equality-decorated
-     roots, a finite enumeration finish the job.
+     roots, a finite enumeration (every coefficient from one convolution
+     pass) finish the job.
 
 Every rewrite identity used here is an exact equality of formal sums, so
 the result is the exact normal form of S(T).  `Engine.step` is the single
@@ -81,13 +82,14 @@ MINUS_ONE = ONE.scale(-1)
 
 
 class DepthGuardExceeded(RuntimeError):
-    """The reduction used up its cycle budget (`Engine.max_cycles`) or
-    revisited a tree already on the reduction stack.  The stack is tracked
-    per canonical key, and a revisit is a tree equal, vertex for vertex, to
-    one on the stack under the same key.  The stack is the driver's own, not
-    Python's, so deep trees end here and never in a RecursionError.  Large
-    trees can exhaust the default budget: the canonically decorated path on
-    32 vertices needs more than 10^5 reduction cycles."""
+    """The reduction used up its cycle budget (`Engine.max_cycles` cycles for
+    each `reduce` call, whatever earlier calls used) or revisited a tree
+    already on the reduction stack.  The stack is tracked per canonical key,
+    and a revisit is a tree equal, vertex for vertex, to one on the stack
+    under the same key.  The stack is the driver's own, not Python's, so deep
+    trees end here and never in a RecursionError.  Large trees can exhaust
+    the default budget: the canonically decorated path on 32 vertices needs
+    more than 10^5 reduction cycles."""
 
 
 def _holds(lhs: int, rel: str, rhs: int) -> bool:
@@ -164,27 +166,24 @@ def base_sum(rel: str, k: int) -> AlgebraElement:
     return total
 
 
-def _eq_power(d: int, total: int) -> AlgebraElement:
-    """The coefficient of z^total in (sum_{x>=0} S_{eq,x} z^x)^d: the sum over
-    d nonnegative branch differences adding up to `total` (zero for total < 0)."""
-    if total < 0:
-        return ZERO
+def _eq_power(d: int, total: int) -> list[AlgebraElement]:
+    """The coefficients of z^0, ..., z^total in (sum_{x>=0} S_{eq,x} z^x)^d:
+    entry m sums over d nonnegative branch differences adding up to m (no
+    entry for total < 0)."""
     series = [base_sum(REL_EQ, x) for x in range(total + 1)]
     power = series
     for _ in range(d - 1):
         power = [
             sum((power[a] * series[m - a] for a in range(m + 1)), ZERO) for m in range(total + 1)
         ]
-    return power[total]
+    return power
 
 
-def tridiagonal_inverse(n: int) -> list[list[Fraction]]:
-    """Exact inverse of the n x n tridiagonal matrix with 2 on the diagonal and
-    1 beside it: entry (r, c) is (-1)^(r+c) (min(r,c)+1) (n-max(r,c)) / (n+1)."""
-    return [
-        [Fraction((-1) ** (r + c) * (min(r, c) + 1) * (n - max(r, c)), n + 1) for c in range(n)]
-        for r in range(n)
-    ]
+def tridiagonal_inverse_row(n: int, r: int) -> list[Fraction]:
+    """Row r of the exact inverse of the n x n tridiagonal matrix with 2 on
+    the diagonal and 1 beside it: entry c is
+    (-1)^(r+c) (min(r,c)+1) (n-max(r,c)) / (n+1)."""
+    return [Fraction((-1) ** (r + c) * (min(r, c) + 1) * (n - max(r, c)), n + 1) for c in range(n)]
 
 
 class Engine:
@@ -194,6 +193,7 @@ class Engine:
     single-owner object; distinct instances are fully independent and the
     rule functions themselves are pure.  `cycles` counts the trees that
     `reduce` rewrote with `step`, over all calls; a memo hit costs none.
+    Each call may add at most `max_cycles` to it.
     `at_quarter` maps the canonical text of a plain tree (the text that
     `trees.parse_plain` reads back, `halfedge:` prefix included) to
     S(T)(1/4) of its canonical decoration; `meanders.probability` fills it
@@ -212,6 +212,7 @@ class Engine:
 
     def reduce(self, tree: DecoratedTree) -> AlgebraElement:
         memo = self.memo
+        limit = self.cycles + self.max_cycles
         # The trees on the reduction stack, by canonical key.  Cycle detection
         # compares exact indexed trees: a color-symmetric tree shares its
         # canonical key with its own color swap, which the driver may
@@ -233,7 +234,7 @@ class Engine:
                 if tree in trees:
                     raise DepthGuardExceeded("reduction revisited a tree already on the stack")
                 self.cycles += 1
-                if self.cycles > self.max_cycles:
+                if self.cycles > limit:
                     raise DepthGuardExceeded(f"more than {self.max_cycles} driver cycles")
                 trees.append(tree)
                 rule, site, expr = self.step(tree)
@@ -288,11 +289,9 @@ class Engine:
 
     def _normalize_branches(self, tree: DecoratedTree, v: int) -> DecoratedTree:
         """Put the white vertex on top of every two-vertex branch under v."""
-        for c in tree.children[v]:
-            kids = tree.children[c]
-            if kids and tree.decos[c].color == BLACK:
-                tree = with_branch_colors_swapped(tree, c, kids[0])
-        return tree
+        kids = tree.children
+        pairs = [(c, kids[c][0]) for c in kids[v] if kids[c] and tree.decos[c].color == BLACK]
+        return with_branch_colors_swapped(tree, pairs) if pairs else tree
 
     # -- generic rewrites, in driver priority order ---------------------------
 
@@ -463,7 +462,7 @@ class Engine:
             # are stars with fewer ge/le branches and the one-sided V_{0,d,0},
             # V_{d,0,0}: this star is row i of its inverse applied to them.
             d = i + j
-            row = tridiagonal_inverse(d - 1)[i - 1]
+            row = tridiagonal_inverse_row(d - 1, i - 1)
             s0_sq = s0 * s0
             expr = []
             for r, entry in enumerate(row, 1):
@@ -496,10 +495,11 @@ class Engine:
             rest = (without_subtree(tree, v),) if v else ()
             return f"{prefix}-forced-equalities", v, [(value, rest)]
         assert rel == REL_EQ and v == 0
+        powers = _eq_power(d, k)
         if deco.color == GRAY:
-            value = _eq_power(d, k)
+            value = powers[k] if powers else ZERO
         else:
             value = ZERO
             for r in range(k + 1):
-                value = value + _eq_power(d, k - r).mul_laurent(Laurent.t_power(r, catalan(r)))
+                value = value + powers[k - r].mul_laurent(Laurent.t_power(r, catalan(r)))
         return f"{prefix}-finite-enumeration", v, [(value, ())]

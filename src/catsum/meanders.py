@@ -15,10 +15,11 @@ an exact polynomial in 1/pi.
 
 One walk along the curve tests for a single loop, so enumeration builds a
 `Meander`, without checking its own matchings again, only for the pairs
-that pass.  `faces`, `forest` and `probability` share one pass over the
-face graph: one stack walk per side finds the face owning each segment,
-and one breadth-first walk of `trees` per component finds the components
-and their canonical texts.  Each distinct tree's value at t = 1/4 is
+that pass.  `faces`, `forest` and `probability` share one function for
+the face graph, `_face_graph`, which each of them runs on its own call:
+one stack walk per side finds the face owning each segment, and one
+breadth-first walk of `trees` per component finds the components and
+their canonical texts.  Each distinct tree's value at t = 1/4 is
 computed once per `Engine`, in `Engine.at_quarter`.
 """
 

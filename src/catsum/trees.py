@@ -2,7 +2,8 @@
 
 Trees are stored as parent arrays: index 0 is the root and every parent
 precedes its children, so a pass in reverse index order visits every child
-before its parent.  Any such layout is accepted, not only preorder.  A
+before its parent.  Any such layout is accepted, not only preorder.  Both
+tree types share one base that checks the array and lists the children.  A
 decorated tree attaches to each vertex a triple (color, relation, shift):
 
   color     white (+1), gray (0) or black (-1); white/black vertices carry
@@ -77,9 +78,6 @@ class Decoration:
     def flipped(self) -> "Decoration":
         return Decoration(-self.color, _FLIP_REL[self.rel], -self.shift)
 
-    def __str__(self):
-        return f"{COLOR_NAMES[self.color]}({self.rel},{self.shift})"
-
 
 NULL_DECO_BLACK = Decoration(BLACK, REL_NONE, 0)
 # The middles of long-star branches of each kind i, j, k (see `with_replaced_fringe`).
@@ -105,39 +103,48 @@ class _lazy:
 
 
 @dataclass(frozen=True)
-class PlainTree:
-    """Undecorated rooted tree, optionally carrying one half-edge at the root."""
+class _RootedTree:
+    """The parent array that both tree types share, checked on construction."""
 
     parents: tuple[int, ...]
-    half_edge: bool = False
 
     def __post_init__(self):
-        _check_parent_array(self.parents)
+        parents = self.parents
+        if not parents:
+            raise ValueError("a tree needs at least one vertex")
+        if parents[0] != -1:
+            raise ValueError("vertex 0 must be the root (parent -1)")
+        for v, p in enumerate(parents):
+            if v and not 0 <= p < v:
+                raise ValueError(f"vertex {v} has invalid parent {p}; parents must precede children")
 
     def __len__(self):
         return len(self.parents)
 
     @_lazy
     def children(self) -> tuple[tuple[int, ...], ...]:
-        return _children_of(self.parents)
+        parents = self.parents
+        out: list[list[int]] = [[] for _ in parents]
+        for v in range(1, len(parents)):
+            out[parents[v]].append(v)
+        return tuple(tuple(c) for c in out)
 
 
 @dataclass(frozen=True)
-class DecoratedTree:
-    parents: tuple[int, ...]
+class PlainTree(_RootedTree):
+    """Undecorated rooted tree, optionally carrying one half-edge at the root."""
+
+    half_edge: bool = False
+
+
+@dataclass(frozen=True)
+class DecoratedTree(_RootedTree):
     decos: tuple[Decoration, ...]
 
     def __post_init__(self):
-        _check_parent_array(self.parents)
+        super().__post_init__()
         if len(self.decos) != len(self.parents):
             raise ValueError("decoration count does not match vertex count")
-
-    def __len__(self):
-        return len(self.parents)
-
-    @_lazy
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        return _children_of(self.parents)
 
     @_lazy
     def fringe_heights(self) -> tuple[int, ...]:
@@ -171,23 +178,6 @@ class DecoratedTree:
             if self.parents[v] >= 0:
                 out[self.parents[v]] += out[v]
         return tuple(out)
-
-
-def _check_parent_array(parents):
-    if not parents:
-        raise ValueError("a tree needs at least one vertex")
-    if parents[0] != -1:
-        raise ValueError("vertex 0 must be the root (parent -1)")
-    for v, p in enumerate(parents):
-        if v and not 0 <= p < v:
-            raise ValueError(f"vertex {v} has invalid parent {p}; parents must precede children")
-
-
-def _children_of(parents) -> tuple[tuple[int, ...], ...]:
-    out: list[list[int]] = [[] for _ in parents]
-    for v in range(1, len(parents)):
-        out[parents[v]].append(v)
-    return tuple(tuple(c) for c in out)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +480,14 @@ def with_pulled_down_variable(tree: DecoratedTree, v: int, leaf: int) -> Decorat
     return _rebuild(kids, decos)
 
 
-def with_branch_colors_swapped(tree: DecoratedTree, middle: int, leaf: int) -> DecoratedTree:
-    """Swap the colors of a vertex and its single child, decorations unchanged."""
-    md, ld = tree.decos[middle], tree.decos[leaf]
+def with_branch_colors_swapped(tree: DecoratedTree, pairs) -> DecoratedTree:
+    """Swap the colors of each (middle, leaf) pair of a vertex and its single
+    child, decorations otherwise unchanged, in one tree."""
     decos = list(tree.decos)
-    decos[middle] = Decoration(ld.color, md.rel, md.shift)
-    decos[leaf] = Decoration(md.color, ld.rel, ld.shift)
+    for middle, leaf in pairs:
+        md, ld = decos[middle], decos[leaf]
+        decos[middle] = Decoration(ld.color, md.rel, md.shift)
+        decos[leaf] = Decoration(md.color, ld.rel, ld.shift)
     return DecoratedTree(tree.parents, tuple(decos))
 
 

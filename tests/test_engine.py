@@ -12,7 +12,7 @@ from catsum.engine import (
     Engine,
     base_sum,
     height_zero_sum,
-    tridiagonal_inverse,
+    tridiagonal_inverse_row,
 )
 from catsum.series import brute_force_decorated, catalan, series_expand
 from catsum.table_data import TABLE
@@ -476,7 +476,7 @@ def test_long_star_solve_small_systems():
 
 def test_tridiagonal_solver_exact():
     for n in range(1, 13):
-        inv = tridiagonal_inverse(n)
+        inv = [tridiagonal_inverse_row(n, r) for r in range(n)]
         # check M * inv = I
         for r in range(n):
             for c in range(n):
@@ -609,6 +609,26 @@ def test_large_shifts_peel_in_one_rewrite():
         assert series_expand(value, 8) == brute_force_decorated(tree, 8)
 
 
+@pytest.mark.parametrize(
+    "color, d, shift",
+    [(c, d, k) for c in (WHITE, GRAY) for d in (2, 3) for k in (10, 20)] + [(WHITE, 3, 40)],
+)
+def test_finite_enumeration_past_small_root_shifts(color, d, shift):
+    """An equality root with shift K over d `ge` branches is a finite
+    enumeration; the engine matches the oracle at order 2K + 8, where the
+    oracle series is not zero.  The white `eq 40` case over three branches
+    takes about ten times as long when each term redoes the convolution."""
+    tree = long_star_tree(d, 0, 0, REL_EQ, shift, center_color=color)
+    lines = []
+    value = Engine(trace=lines.append).reduce(tree)
+    prefix = "ustar" if color == WHITE else "vstar"
+    assert lines == [f"RULE {prefix}-finite-enumeration AT 0 -> 1 subproblems"]
+    order = 2 * shift + 8
+    oracle = brute_force_decorated(tree, order)
+    assert any(oracle.coeffs)
+    assert series_expand(value, order) == oracle
+
+
 def test_depth_guard():
     tree = canonical_decorate(parse_plain("((())(())())"))
     with pytest.raises(DepthGuardExceeded):
@@ -633,6 +653,21 @@ def test_engine_recovers_after_cycle_budget():
         cycles = engine.cycles - 6
         assert engine.reduce(tree) == value
         assert engine.cycles == 6 + cycles + (0 if memoize else cycles)
+
+
+def test_cycle_budget_is_per_reduction():
+    """`max_cycles` bounds each `reduce` call, not the running total in
+    `cycles`: a long-lived engine still reduces a small tree after earlier
+    calls have used most of the budget, and a call over it still fails."""
+    engine = Engine(max_cycles=600)
+    engine.reduce(canonical_decorate(parse_plain("(" * 8 + ")" * 8)))
+    assert engine.cycles == 577
+    half = canonical_decorate(parse_plain("halfedge:" + "(" * 5 + ")" * 5))
+    value = engine.reduce(half)
+    assert engine.cycles == 687
+    assert series_expand(value, 8) == brute_force_decorated(half, 8)
+    with pytest.raises(DepthGuardExceeded, match="more than 600 driver cycles"):
+        engine.reduce(canonical_decorate(parse_plain("(" * 12 + ")" * 12)))
 
 
 def test_deep_path_needs_no_recursion():
