@@ -196,9 +196,11 @@ class Engine:
     Each call may add at most `max_cycles` to it.
     `at_quarter` maps the canonical text of a plain tree (the text that
     `trees.parse_plain` reads back, `halfedge:` prefix included) to
-    S(T)(1/4) of its canonical decoration; `meanders.probability` fills it
-    on a miss.  Like the memo it belongs to this instance alone and is not
-    locked, so an engine must not be shared between threads.
+    S(T)(1/4) of its canonical decoration, and `forests` maps the sorted
+    texts of a meander's forest to its finished shape probability;
+    `meanders.probability` fills both on a miss.  Like the memo they belong
+    to this instance alone and are not locked, so an engine must not be
+    shared between threads.
     """
 
     def __init__(self, max_cycles: int = 10**5, trace=None):
@@ -206,6 +208,7 @@ class Engine:
         self.trace = trace
         self.memo: dict[bytes, AlgebraElement] = {}
         self.at_quarter: dict[str, PiPoly] = {}
+        self.forests: dict[tuple[str, ...], PiPoly] = {}
         self.cycles = 0
 
     # -- public entry points ----------------------------------------------

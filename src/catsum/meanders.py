@@ -15,12 +15,15 @@ an exact polynomial in 1/pi.
 
 One walk along the curve tests for a single loop, so enumeration builds a
 `Meander`, without checking its own matchings again, only for the pairs
-that pass.  `faces`, `forest` and `probability` share one function for
-the face graph, `_face_graph`, which each of them runs on its own call:
-one stack walk per side finds the face owning each segment, and one
-breadth-first walk of `trees` per component finds the components and
-their canonical texts.  Each distinct tree's value at t = 1/4 is
-computed once per `Engine`, in `Engine.at_quarter`.
+that pass.  One stack walk per matching, `_side`, finds the face owning
+each segment and is cached per matching, so a sweep walks each matching
+once, whichever side and however many meanders it serves.  `faces` reads
+it alone; `forest` and `probability` share `_components`, which joins the
+two sides of one meander and walks each component once with the
+breadth-first walk of `trees`, which also gives its canonical text.  Each
+distinct tree's value at t = 1/4 is computed once per `Engine`, in
+`Engine.at_quarter`, and each distinct forest's probability once, in
+`Engine.forests`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
 
 from .algebra import PiPoly
 from .engine import Engine
@@ -98,6 +101,12 @@ def _check_size(size: int) -> None:
 
 
 def _normalize_matching(pairs, n: int, side: str) -> Matching:
+    """The arcs of a perfect matching of 0..n-1, each as (a, b) with a < b,
+    sorted.  One pass over the points finds a crossing: the arcs open at a
+    point form a stack, and an arc closing below the top crosses the top.
+    Of several crossings, the one named has the arc (a, b) with the least b
+    among arcs that cross another, with the arc crossing it whose left end
+    is greatest."""
     seen: set[int] = set()
     out = []
     for a, b in pairs:
@@ -113,10 +122,12 @@ def _normalize_matching(pairs, n: int, side: str) -> Matching:
             seen.add(p)
     if len(seen) != n:
         raise NotAMatching(f"{side} matching misses points {sorted(set(range(n)) - seen)}")
-    for (a, b), (c, d) in combinations(out, 2):
-        lo, hi = sorted([(a, b), (c, d)])
-        if lo[0] < hi[0] < lo[1] < hi[1]:
-            raise CrossingArcs(f"{side} arcs {lo} and {hi} cross")
+    partner, open_points = _partners(out), []
+    for p, q in enumerate(partner):
+        if p < q:
+            open_points.append(p)
+        elif (top := open_points.pop()) != q:
+            raise CrossingArcs(f"{side} arcs {(q, p)} and {(top, partner[top])} cross")
     return tuple(sorted(out))
 
 
@@ -202,89 +213,83 @@ class Face:
     interior: bool
 
 
-def _face_graph(meander: Meander):
-    """The checked face graph of `meander` as (arcs, owned, interior,
-    components).  Face f bounds the arc `arcs[f]` = (side, arc), upper arcs
-    first, each side in arc order; it owns the segment indices `owned[f]`,
-    and `interior[f]` tells their parity.  Each component of the face graph
-    is (least face, root, kids, text): `_rooted` walked it once from `root`,
-    its half-edge face if it has one, with children lists `kids`, and
-    `text` is its canonical text, the least over its centroids for the
-    interior component and from the root, after `halfedge:`, for the others.
-    Components are ordered by their least face.
-    """
-    segments = 2 * meander.size - 1
-    arcs: list[tuple[str, tuple[int, int]]] = []
-    owned: list[list[int]] = []
-    owner = {}  # side -> the face owning each segment on that side, or None
-    for side, matching in ((UPPER, meander.upper), (LOWER, meander.lower)):
-        face_at = {a: len(arcs) + j for j, (a, _) in enumerate(matching)}
-        arcs += [(side, arc) for arc in matching]
-        owned += [[] for _ in matching]
-        owner[side] = by_segment = [None] * segments
-        # The arcs open over segment i form a stack, the innermost on top.
-        open_faces: list[int] = []
-        for i in range(segments):
-            if i in face_at:
-                open_faces.append(face_at[i])
-            else:
-                open_faces.pop()
-            if open_faces:
-                by_segment[i] = open_faces[-1]
-                owned[open_faces[-1]].append(i)
-    interior = []
-    for (_, arc), indices in zip(arcs, owned):
+@lru_cache(maxsize=None)
+def _side(matching: Matching):
+    """The faces of one side of the line, one per arc of `matching` in arc
+    order, as (owner, owned, interior): `owner[i]` is the face owning
+    segment i (None where no arc covers it), `owned[f]` the segments face f
+    owns, and `interior[f]` whether they are even.  Cached per matching: a
+    sweep meets each matching on both sides of many meanders."""
+    face_at = {a: f for f, (a, _) in enumerate(matching)}
+    owner: list = [None] * (2 * len(matching) - 1)
+    owned: list[list[int]] = [[] for _ in matching]
+    # The arcs open over segment i form a stack, the innermost on top.
+    open_faces: list[int] = []
+    for i in range(len(owner)):
+        if i in face_at:
+            open_faces.append(face_at[i])
+        else:
+            open_faces.pop()
+        if open_faces:
+            owner[i] = open_faces[-1]
+            owned[open_faces[-1]].append(i)
+    for arc, indices in zip(matching, owned):
         assert indices, f"face of arc {arc} owns no segment"
         assert len({i % 2 for i in indices}) == 1, f"face of arc {arc} mixes parities"
-        interior.append(indices[0] % 2 == 0)
+    return tuple(owner), tuple(map(tuple, owned)), tuple(indices[0] % 2 == 0 for indices in owned)
 
-    n = len(arcs)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    half_edges = [0] * n
-    for i, (up, low) in enumerate(zip(owner[UPPER], owner[LOWER])):
-        assert up is not None or low is not None, f"segment {i} touches no bounded face"
-        if up is not None and low is not None:
-            adjacency[up].append(low)
-            adjacency[low].append(up)
+
+def _components(meander: Meander) -> list[tuple[list[int], list, str]]:
+    """The checked components of the face graph of `meander`, each as
+    (order, kids, text).  Face f < k bounds the f-th upper arc and face
+    k + f the f-th lower arc; each segment joins its two faces, or gives
+    its one face a half-edge.  `_rooted` walked each component once, in
+    `order` from its root `order[0]` with children lists `kids`: an exterior
+    component from its half-edge face, with `text` its canonical text from
+    there after `halfedge:`, and the interior one, with `text` the least over
+    its centroids."""
+    k = meander.size
+    up, _, interior = _side(meander.upper)
+    low, _, low_interior = _side(meander.lower)
+    interior += low_interior
+    adjacency: list[list[int]] = [[] for _ in range(2 * k)]
+    half_edges = []  # the faces with a half-edge, one entry per half-edge
+    for i, (u, low_face) in enumerate(zip(up, low)):
+        if low_face is None:
+            assert u is not None, f"segment {i} touches no bounded face"
+            half_edges.append(u)
+        elif u is None:
+            half_edges.append(low_face + k)
         else:
-            half_edges[up if up is not None else low] += 1
+            adjacency[u].append(low_face + k)
+            adjacency[low_face + k].append(u)
 
     components = []
     seen: set[int] = set()
-    interior_components = 0
-    # the half-edge faces first, so that each exterior component is walked
-    # from its half-edge face
-    for start in [v for v in range(n) if half_edges[v]] + list(range(n)):
-        if start in seen:
-            continue
-        # a cycle would repeat a vertex in the walk, which still fails the
-        # edge count below
+    for start in half_edges:
+        assert start not in seen, "exterior component without exactly one half-edge"
+        assert not interior[start], "interior component with a half-edge"
         order, kids = _rooted(adjacency, start)
         seen.update(order)
-        n_half = sum(half_edges[v] for v in order)
-        n_edges = sum(len(adjacency[v]) for v in order) // 2
-        assert n_edges == len(order) - 1, "a component of the face graph has a cycle"
-        if interior[start]:
-            assert n_half == 0, "interior component with a half-edge"
-            assert all(interior[v] for v in order)
-            interior_components += 1
-            text = _canonical_centroid(adjacency, order, kids)
-        else:
-            assert n_half == 1, "exterior component without exactly one half-edge"
-            text = HALF_EDGE_PREFIX + _canonical_text(order, kids)
-        components.append((min(order), start, kids, text))
-    assert interior_components == 1, "interior faces split into several trees"
-    components.sort()
-    return arcs, owned, interior, components
+        components.append((order, kids, HALF_EDGE_PREFIX + _canonical_text(order, kids)))
+    # face 0, over segment 0, is interior; edges join faces of one parity
+    order, kids = _rooted(adjacency, 0)
+    assert len(order) == interior.count(True), "interior faces split into several trees"
+    assert len(seen) + len(order) == 2 * k, "exterior component without exactly one half-edge"
+    components.append((order, kids, _canonical_centroid(adjacency, order, kids)))
+    # trees on 2k faces in c components have 2k - c edges
+    edges = sum(map(len, adjacency)) // 2
+    assert edges == 2 * k - len(components), "a component of the face graph has a cycle"
+    return components
 
 
 def faces(meander: Meander) -> list[Face]:
     """One face per arc; every unit segment belongs to at most one face per side."""
-    arcs, owned, interior, _ = _face_graph(meander)
-    return [
-        Face(side, arc, tuple(indices), inside)
-        for (side, arc), indices, inside in zip(arcs, owned, interior)
-    ]
+    out = []
+    for side, matching in ((UPPER, meander.upper), (LOWER, meander.lower)):
+        _, owned, interior = _side(matching)
+        out += [Face(side, *face) for face in zip(matching, owned, interior)]
+    return out
 
 
 def forest(meander: Meander) -> list[PlainTree]:
@@ -294,30 +299,37 @@ def forest(meander: Meander) -> list[PlainTree]:
     The interior faces always form a single tree without half-edge, rooted
     at its canonical centroid with children in canonical order; every other
     component carries exactly one half-edge and is rooted at its
-    extremity, children in the order of the segments.
+    extremity, children in the order of the segments.  Trees come in the
+    order of their least face.
     """
     return [
-        PlainTree(tuple(_preorder(kids, root)[1]), half_edge=True)
+        PlainTree(tuple(_preorder(kids, order[0])[1]), half_edge=True)
         if text.startswith(HALF_EDGE_PREFIX)
         else parse_plain(text)
-        for _, root, kids, text in _face_graph(meander)[3]
+        for order, kids, text in sorted(_components(meander), key=lambda c: min(c[0]))
     ]
 
 
 def probability(meander: Meander, engine: Engine | None = None) -> PiPoly:
     """Exact P(component of 0 has this shape) = 2^(1-4k) k prod S(T_i)(1/4).
 
-    Each S(T_i)(1/4) is looked up by the canonical text of T_i in
-    `engine.at_quarter`, and reduced only on a miss."""
+    The value is looked up by the sorted canonical texts of the T_i, which
+    hold 2k vertices in all, in `engine.forests`; on a miss each S(T_i)(1/4)
+    is looked up by its text in `engine.at_quarter`, and reduced only on a
+    miss there."""
     engine = engine or Engine()
-    k = meander.size
-    value = PiPoly.const(Fraction(2) ** (1 - 4 * k) * k)
-    at_quarter = engine.at_quarter
-    for *_, text in _face_graph(meander)[3]:
-        if text not in at_quarter:
-            tree = canonical_decorate(parse_plain(text))
-            at_quarter[text] = engine.reduce(tree).eval_quarter()
-        value = value * at_quarter[text]
+    texts = tuple(sorted(text for *_, text in _components(meander)))
+    value = engine.forests.get(texts)
+    if value is None:
+        k = meander.size
+        value = PiPoly.const(Fraction(2) ** (1 - 4 * k) * k)
+        at_quarter = engine.at_quarter
+        for text in texts:
+            if text not in at_quarter:
+                tree = canonical_decorate(parse_plain(text))
+                at_quarter[text] = engine.reduce(tree).eval_quarter()
+            value = value * at_quarter[text]
+        engine.forests[texts] = value
     return value
 
 

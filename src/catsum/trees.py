@@ -603,7 +603,7 @@ def _canonical_text(order: list[int], kids: list) -> str:
     as the canonical layout."""
     text: dict[int, str] = {}  # finished subtrees, until their parent takes them
     for v in reversed(order):
-        text[v] = "(" + "".join(sorted([text.pop(c) for c in kids[v]])) + ")"
+        text[v] = "(" + "".join(sorted([text.pop(c) for c in kids[v]])) + ")" if kids[v] else "()"
     return text[order[0]]
 
 
@@ -615,20 +615,19 @@ def _canonical_centroid(adj: list[list[int]], order: list[int], kids: list) -> s
 
 def _centroids(order: list[int], kids: list) -> list[int]:
     """The vertices of the tree that `_rooted` walked as (order, kids) whose
-    heaviest component, once removed, is smallest."""
-    n, root = len(order), order[0]
+    heaviest component, once removed, is smallest: those that leave no
+    component of more than half the vertices.  Stepping from the root into
+    the child of more than half while there is one reaches the first; the
+    second, if any, is its child of exactly half."""
+    n = len(order)
     size = [1] * len(kids)
     for v in reversed(order):
         for c in kids[v]:
             size[v] += size[c]
-    best, out = None, []
-    for v in order:
-        heaviest = max([size[c] for c in kids[v]] + ([n - size[v]] if v != root else []), default=0)
-        if best is None or heaviest < best:
-            best, out = heaviest, [v]
-        elif heaviest == best:
-            out.append(v)
-    return out
+    v = order[0]
+    while heavy := [c for c in kids[v] if 2 * size[c] > n]:
+        v = heavy[0]
+    return [v] + [c for c in kids[v] if 2 * size[c] == n]
 
 
 def _adjacency(tree: PlainTree) -> list[list[int]]:

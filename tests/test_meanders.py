@@ -25,6 +25,7 @@ from catsum.meanders import (
     MeanderSyntaxError,
     MultipleLoops,
     NotAMatching,
+    _side,
     enumerate_meanders,
     faces,
     forest,
@@ -94,6 +95,60 @@ def test_parse_errors(text, error, message):
     with pytest.raises(error) as caught:
         parse_meander(text)
     assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_crossing_pair_named():
+    """Of several crossings, the message names the arc with the least right
+    end among arcs that cross another, with the arc crossing it whose left
+    end is greatest: checked against that rule on every perfect matching of
+    at most 8 points."""
+    with pytest.raises(CrossingArcs) as caught:
+        parse_meander("upper: 1-6, 2-7, 0-4, 3-5; lower: 0-1, 2-3, 4-5, 6-7")
+    assert str(caught.value) == "upper arcs (0, 4) and (3, 5) cross"
+    for n in (2, 4, 6, 8):
+        for matching in _perfect_matchings(list(range(n))):
+            crossing = [
+                ((a, b), (c, d))
+                for a, b in matching
+                for c, d in matching
+                if a < c < b < d or c < a < d < b
+            ]
+            if not crossing:  # accepted: test_enumeration_builds_the_checked_meanders
+                continue
+            first, _ = min(crossing, key=lambda pair: pair[0][1])
+            second = max((c, d) for (a, b), (c, d) in crossing if (a, b) == first)
+            with pytest.raises(CrossingArcs) as caught:
+                Meander(n // 2, matching, matching)
+            assert str(caught.value) == f"upper arcs {first} and {second} cross", matching
+
+
+def _perfect_matchings(points):
+    """Every perfect matching of `points`, crossing or not, as a list of arcs."""
+    if not points:
+        return [[]]
+    first, rest = points[0], points[1:]
+    return [
+        [(first, partner)] + others
+        for i, partner in enumerate(rest)
+        for others in _perfect_matchings(rest[:i] + rest[i + 1 :])
+    ]
+
+
+def test_side_owner_is_innermost_covering_arc():
+    """`_side` against the `Face` docstring, on every non-crossing matching of
+    2k points, k <= 6: the owner of segment i is the innermost arc covering
+    i + 1/2, each face owns the segments it is owner of, and interior faces
+    own even segments."""
+    for k in range(1, 7):
+        for matching in noncrossing_matchings(2 * k):
+            owner, owned, interior = _side(matching)
+            expected = []
+            for i in range(2 * k - 1):
+                covering = [f for f, (a, b) in enumerate(matching) if a <= i < b]
+                expected.append(max(covering, key=lambda f: matching[f][0], default=None))
+            assert owner == tuple(expected), matching
+            assert owned == tuple(tuple(i for i, f in enumerate(expected) if f == g) for g in range(k))
+            assert interior == tuple(indices[0] % 2 == 0 for indices in owned)
 
 
 def test_size_below_one_rejected():
@@ -219,7 +274,8 @@ def test_shared_and_fresh_engine_agree():
     shared = Engine()
     meanders = enumerate_meanders(5)
     values = [probability(m, shared) for m in meanders]
-    assert len(shared.at_quarter) < len(meanders)  # trees recur across meanders
+    # trees and forests recur across the 262 meanders
+    assert len(shared.at_quarter) == 14 and len(shared.forests) == 34
     for i in random.Random(24).sample(range(len(meanders)), 20):
         assert probability(meanders[i], Engine()) == values[i], meanders[i]
 

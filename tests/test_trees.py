@@ -43,6 +43,7 @@ from catsum.trees import (
     without_leaves,
     without_subtree,
 )
+from catsum.trees import _adjacency, _centroids, _rooted
 
 from conftest import centroid_rooted, decorated_to_json, long_star_tree, random_decorated_tree
 
@@ -415,6 +416,29 @@ def test_centroid_rooted_is_the_enumerated_canonical_layout():
                 kids = [texts[c] for c in tree.children[v]]
                 assert kids == sorted(kids), (tree, v)
                 texts[v] = "(" + "".join(kids) + ")"
+
+
+def test_centroids_leave_no_component_over_half():
+    """`_centroids` finds, from any root, the vertices whose heaviest
+    component, once removed, is smallest."""
+    for n in range(1, 10):
+        for tree in enumerate_free_trees(n):
+            adj = _adjacency(tree)
+            heaviest = [max((_component_size(adj, c, v) for c in adj[v]), default=0) for v in range(n)]
+            best = [v for v in range(n) if heaviest[v] == min(heaviest)]
+            for root in range(n):
+                assert sorted(_centroids(*_rooted(adj, root))) == best, (tree, root)
+
+
+def _component_size(adj, start, removed):
+    """The number of vertices reachable from `start` in `adj` without `removed`."""
+    seen, reached = {removed, start}, [start]
+    for u in reached:
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                reached.append(w)
+    return len(reached)
 
 
 def test_derived_metrics():
