@@ -13,7 +13,7 @@ from .algebra import (
     hypergeom_hk,
 )
 from .engine import Engine
-from .series import TruncatedSeries, brute_force_decorated, catalan, series_expand
+from .series import brute_force_decorated, catalan, series_expand
 from .trees import (
     DecoratedTree,
     PlainTree,
@@ -35,7 +35,6 @@ __all__ = [
     "PiPoly",
     "PlainTree",
     "SQRT_1_4T",
-    "TruncatedSeries",
     "ZERO",
     "brute_force_decorated",
     "canonical_decorate",

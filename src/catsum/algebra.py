@@ -29,11 +29,11 @@ and shifts instead of convolving.
 
 Evaluation at t = 1/4 sends s -> 0, H1 -> 4/pi, H2 -> 8/(3 pi) and every
 Laurent coefficient to its exact rational value, landing in Q[1/pi]
-(`PiPoly`).  A `PiPoly` holds one `Laurent` in the variable 1/pi and a
-`series.TruncatedSeries` one `Laurent` in t, so `Laurent` is the only
-polynomial arithmetic over Q in the package, and one term renderer
-(`_term`, `_joined`) prints `Laurent`, `AlgebraElement` and truncated
-series alike, writing every rational through `_fraction_text`, exact at
+(`PiPoly`).  A `PiPoly` holds one `Laurent` in the variable 1/pi, and a
+truncated series (module `series`) is a `Laurent` in t with exponents in
+0..order, so `Laurent` is the only polynomial arithmetic over Q in the
+package, and one term renderer (`_term`, `_joined`) prints `Laurent`,
+`AlgebraElement` and truncated series alike, writing every rational through `_fraction_text`, exact at
 any size and subquadratic in it.  `_stored`, `_element` and `_pipoly`
 wrap values already in normal form unchecked, as `_coprime` wraps a
 Fraction already in lowest terms, one square-and-multiply (`_power`)

@@ -34,6 +34,8 @@ from .series import (
     BudgetExceededError,
     brute_force_decorated,
     series_expand,
+    series_json,
+    series_text,
 )
 from .stars import star_3f2_partial, star_eval, star_recurrence_residual
 from .table_data import TABLE, closed_form_element, evaluation_pipoly
@@ -106,15 +108,15 @@ def _cmd_series(args) -> int:
     tree, source = _load_tree(args.tree)
     value = _engine(args).reduce(tree)
     engine_series = series_expand(value, args.order)
-    payload = {"tree": source, "order": args.order, "series": engine_series.to_json()}
-    lines = [f"series: {engine_series}"]
+    payload = {"tree": source, "order": args.order, "series": series_json(engine_series, args.order)}
+    lines = [f"series: {series_text(engine_series)}"]
     code = OK
     if args.oracle:
         oracle = brute_force_decorated(tree, args.order, budget=_oracle_budget())
         match = engine_series == oracle
-        payload["oracle"] = oracle.to_json()
+        payload["oracle"] = series_json(oracle, args.order)
         payload["match"] = match
-        lines.append(f"oracle: {'match' if match else 'MISMATCH: ' + str(oracle)}")
+        lines.append(f"oracle: {'match' if match else 'MISMATCH: ' + series_text(oracle)}")
         if not match:
             code = MISMATCH
     _emit(args, payload, lines)
@@ -130,13 +132,13 @@ def _cmd_verify(args) -> int:
     payload = {
         "tree": source,
         "order": args.order,
-        "engine": engine_series.to_json(),
-        "oracle": oracle.to_json(),
+        "engine": series_json(engine_series, args.order),
+        "oracle": series_json(oracle, args.order),
         "match": match,
     }
     lines = [f"{'OK' if match else 'MISMATCH'}: engine vs oracle at order {args.order}"]
     if not match:
-        lines += [f"engine: {engine_series}", f"oracle: {oracle}"]
+        lines += [f"engine: {series_text(engine_series)}", f"oracle: {series_text(oracle)}"]
     _emit(args, payload, lines)
     return OK if match else MISMATCH
 
@@ -206,9 +208,11 @@ def _cmd_table(args) -> int:
         value = engine.reduce(tree)
         ok_closed = value == closed_form_element(entry)
         ok_eval = value.eval_quarter() == evaluation_pipoly(entry)
-        engine_series = series_expand(value, 2 * (len(entry.series) - 1))
-        ok_series = engine_series.coeffs[::2] == list(entry.series)
-        oracle = brute_force_decorated(tree, 2 * (len(entry.series) - 1), budget=_oracle_budget())
+        order = 2 * (len(entry.series) - 1)
+        engine_series = series_expand(value, order)
+        terms = engine_series.terms
+        ok_series = [terms.get(n, 0) for n in range(0, order + 1, 2)] == list(entry.series)
+        oracle = brute_force_decorated(tree, order, budget=_oracle_budget())
         ok_oracle = engine_series == oracle
         ok = ok_closed and ok_eval and ok_series and ok_oracle
         failures += not ok

@@ -1,33 +1,32 @@
 """Truncated power series over Q and the summation oracle.
 
-A `TruncatedSeries` holds one `algebra.Laurent` with exponents in 0..N,
-the exact coefficients of t^0 .. t^N, so its arithmetic is that of
-`Laurent`, truncated once per result.  The module also expands algebra
-elements into series (one truncated sum over the generator series of H1,
-H2 and s, which like the Catalan series C have explicit coefficient
-formulas) and computes tree sums directly from their defining summation
-over the vertex variables, the independent ground truth everything else is
-checked against: a tree DP over the vertices in reverse index order, so
-children before parents, O(n * N^4) on n vertices at order N, that shares
-no code with the engine.
+A series through t^N is a plain `algebra.Laurent` whose exponents lie in
+0..N, the exact coefficients of t^0 .. t^N.  `_truncated` cuts a Laurent
+there, `_product` multiplies only the exponent pairs that land at or below
+N, and `series_text` and `series_json` render a series for the CLI.  The
+module expands algebra elements into series (each term's coefficient times
+truncated products with the generator series of H1, H2 and s, which like
+the Catalan series C have explicit coefficient formulas) and computes tree
+sums directly from their defining summation over the vertex variables, the
+independent ground truth everything else is checked against: a tree DP over
+the vertices in reverse index order, so children before parents,
+O(n * N^4) on n vertices at order N, that shares no code with the engine.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .algebra import (
-    L_ONE,
     L_ZERO,
     AlgebraElement,
     Laurent,
     _fraction_text,
     _joined,
-    _power,
     _reduced,
+    _stored,
     _term,
 )
 from .trees import GRAY, DecoratedTree
@@ -58,81 +57,42 @@ def catalan_power_coeff(s: int, n: int) -> int:
     return s * comb(2 * n + s - 1, n) // (n + s)
 
 
-class TruncatedSeries:
-    """Exact power series in t truncated at a fixed order.
-
-    `poly` is one `Laurent` whose exponents lie in 0..order, so arithmetic
-    is that of `Laurent`, truncated once per result.  `coeffs` is the
-    read-only dense view, the list of `Fraction` coefficients of t^0..t^order.
-    """
-
-    __slots__ = ("order", "poly")
-
-    def __init__(self, coeffs, order: int | None = None):
-        coeffs = list(coeffs)
-        order = len(coeffs) - 1 if order is None else order
-        built = _series(Laurent(dict(enumerate(coeffs))), order)
-        self.order, self.poly = built.order, built.poly
-
-    @property
-    def coeffs(self) -> list[Fraction]:
-        terms, zero = self.poly.terms, Fraction(0)
-        return [terms.get(n, zero) for n in range(self.order + 1)]
-
-    def __eq__(self, other):
-        same_type = isinstance(other, TruncatedSeries)
-        return same_type and (self.order, self.poly) == (other.order, other.poly)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return _series(self.poly + other.poly, min(self.order, other.order))
-
-    def __neg__(self) -> "TruncatedSeries":
-        return _series(-self.poly, self.order)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return _series(self.poly - other.poly, min(self.order, other.order))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return _series(self.poly * other.poly, min(self.order, other.order))
-
-    def scale(self, q) -> "TruncatedSeries":
-        return _series(self.poly.scale(q), self.order)
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by t^k; negative k requires the low coefficients to vanish."""
-        residue = f"t^{k} shift hits nonzero low-order coefficients"
-        return _series(self.poly.shift(k), self.order + k, residue)
-
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            raise ValueError("negative powers of a truncated series are not defined")
-        return _power(self, n, _series(L_ONE, self.order))
-
-    def __str__(self):
-        return _joined(_term(c, n) for n, c in sorted(self.poly.terms.items()))
-
-    __repr__ = __str__
-
-    def to_json(self):
-        return [_fraction_text(c) for c in self.coeffs]
-
-
-def _series(poly: Laurent, order: int, residue: str | None = None) -> TruncatedSeries:
-    """The series of poly through t^order, dropping the exponents above order.
-
-    A negative exponent raises NegativePowerResidue (with the message
-    `residue`, if given), then a negative order raises ValueError.
-    """
+def _truncated(poly: Laurent, order: int) -> Laurent:
+    """poly through t^order.  A negative exponent raises NegativePowerResidue,
+    then a negative order raises ValueError."""
     negative = sorted(k for k in poly.nums if k < 0)
     if negative:
-        raise NegativePowerResidue(residue or f"uncancelled negative powers at t^{negative}")
+        raise NegativePowerResidue(f"uncancelled negative powers at t^{negative}")
     if order < 0:
         raise ValueError("order must be nonnegative")
     if poly.nums and max(poly.nums) > order:
         poly = _reduced({k: n for k, n in poly.nums.items() if k <= order}, poly.den)
-    res = TruncatedSeries.__new__(TruncatedSeries)
-    res.order, res.poly = order, poly
-    return res
+    return poly
+
+
+def _product(p: Laurent, q: Laurent, order: int) -> Laurent:
+    """p * q through t^order: only the exponent pairs with k1 + k2 <= order
+    multiply (FLINT's fmpq_poly_mullow)."""
+    out: dict[int, int] = {}
+    right = sorted(q.nums.items())
+    for k1, n1 in p.nums.items():
+        for k2, n2 in right:
+            k = k1 + k2
+            if k > order:
+                break
+            out[k] = out.get(k, 0) + n1 * n2
+    return _reduced({k: n for k, n in out.items() if n}, p.den * q.den)
+
+
+def series_text(poly: Laurent) -> str:
+    """A series as text, in ascending powers of t: "1 - t + 1/2*t^3", "0"."""
+    return _joined(_term(c, n) for n, c in sorted(poly.terms.items()))
+
+
+def series_json(poly: Laurent, order: int) -> list[str]:
+    """The coefficients of t^0..t^order as exact text, zeros included."""
+    terms = poly.terms
+    return [_fraction_text(terms.get(n, 0)) for n in range(order + 1)]
 
 
 def _catalans(order: int) -> list[int]:
@@ -144,8 +104,8 @@ def _catalans(order: int) -> list[int]:
     return cat
 
 
-def generator_series(which: str, order: int) -> TruncatedSeries:
-    """Series of a named generator: H1, H2, s or the Catalan series C.
+def generator_series(which: str, order: int) -> Laurent:
+    """Series of a named generator, H1, H2, s or the Catalan series C.
 
     H1 = 1 + sum_{n>=1} 4 Cat_{n-1}^2 t^{2n}
     H2 = 1 - sum_{n>=1} 2 Cat_{n-1} Cat_n t^{2n}
@@ -163,29 +123,31 @@ def generator_series(which: str, order: int) -> TruncatedSeries:
         terms = {0: 1} | {2 * n: -2 * cat[n - 1] * cat[n] for n in range(1, order // 2 + 1)}
     else:
         raise ValueError(f"unknown generator {which!r}")
-    return _series(Laurent(terms), order)
+    return _truncated(_stored(terms, 1), order)  # every coefficient is a nonzero int
 
 
-def series_expand(x: AlgebraElement, order: int) -> TruncatedSeries:
-    """Exact expansion of an algebra element through t^order: the sum of
-    coeff * H1^a H2^b s^c over its terms, with the generator series taken
-    through t^(order + shift), where t^-shift is its lowest power of t.
-
-    Raises NegativePowerResidue if a genuinely negative power survives.
+def series_expand(x: AlgebraElement, order: int) -> Laurent:
+    """Exact expansion of an algebra element through t^order: the sum over
+    its terms of coeff * H1^a H2^b s^c, as a + b + c truncated products of
+    coeff with the generator series.  Those are taken through t^(order +
+    shift), where t^-shift is the lowest power of t; no factor lowers a
+    power, so every product stops at t^order.  Raises NegativePowerResidue
+    if a genuinely negative power survives.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     work = order + max([0] + [-p.min_exp() for p in x.terms.values()])
-    h1, h2, s = (generator_series(name, work) for name in ("H1", "H2", "s"))
-    total = sum(
-        (coeff * (h1**a * h2**b * s**c).poly for (a, b, c), coeff in x.terms.items()), L_ZERO
-    )
-    return _series(total, order)
+    gens = [generator_series(name, work) for name in ("H1", "H2", "s")]
+    total = L_ZERO
+    for key, coeff in x.terms.items():
+        for gen, n in zip(gens, key):
+            for _ in range(n):
+                coeff = _product(coeff, gen, order)
+        total += coeff
+    return _truncated(total, order)
 
 
-def brute_force_decorated(
-    tree: DecoratedTree, order: int, budget: int = DEFAULT_BUDGET
-) -> TruncatedSeries:
+def brute_force_decorated(tree: DecoratedTree, order: int, budget: int = DEFAULT_BUDGET) -> Laurent:
     """Tree sum from its defining summation over the vertex variables.
 
     The coefficient of t^n is the sum, over assignments of nonnegative
@@ -228,10 +190,10 @@ def brute_force_decorated(
                     merged[key] = merged.get(key, 0) + lcount * rcount
             table = merged
         tables[v] = {key: n for key, n in table.items() if _holds(key[0], deco.rel, kappa[v])}
-    coeffs = [0] * (order + 1)
+    coeffs: dict[int, int] = {}
     for (_, degree), count in tables[0].items():
-        coeffs[degree] += count
-    return TruncatedSeries(coeffs, order)
+        coeffs[degree] = coeffs.get(degree, 0) + count
+    return _stored(coeffs, 1)  # every count is positive
 
 
 def _holds(lhs: int, rel: str, rhs: int) -> bool:

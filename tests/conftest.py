@@ -1,8 +1,9 @@
 """Shared helpers: random decorated trees, the canonical centroid rooting of
-a free tree, two-vertex and star builders, sum-expression evaluation through
-the oracle, the exhaustive enumerations of the vertex and of the edge
-variables, the raw 2F1 series and its value at 1, the (B_s, C_s) star
-cross-check and the decorated-tree JSON writer."""
+a free tree, two-vertex and star builders, the dense coefficient list of a
+series, sum-expression evaluation through the oracle, the exhaustive
+enumerations of the vertex and of the edge variables, the raw 2F1 series and
+its value at 1, the (B_s, C_s) star cross-check and the decorated-tree JSON
+writer.  A series is a `Laurent` in t with exponents in 0..order."""
 
 from __future__ import annotations
 
@@ -11,12 +12,13 @@ from math import comb, factorial, prod
 
 import pytest
 
-from catsum.algebra import PiPoly
+from catsum.algebra import Laurent, PiPoly
 from catsum.series import (
     DEFAULT_BUDGET,
-    TruncatedSeries,
     BudgetExceededError,
     _holds,
+    _product,
+    _truncated,
     brute_force_decorated,
     catalan,
     series_expand,
@@ -87,7 +89,20 @@ def long_star_tree(i, j, k, rel, shift, center_color=GRAY) -> DecoratedTree:
     return DecoratedTree(tuple(parents), tuple(decos))
 
 
-def sumexpr_series(expr, order: int) -> TruncatedSeries:
+def dense(poly: Laurent, order: int) -> list[Fraction]:
+    """The coefficients of t^0..t^order of a series, zeros included; its
+    exponents must lie in that range."""
+    terms = poly.terms
+    assert all(0 <= k <= order for k in terms), (poly, order)
+    return [terms.get(n, Fraction(0)) for n in range(order + 1)]
+
+
+def series_of(coeffs) -> Laurent:
+    """The series whose coefficients of t^0, t^1, ... are `coeffs`."""
+    return Laurent(dict(enumerate(coeffs)))
+
+
+def sumexpr_series(expr, order: int) -> Laurent:
     """Evaluate a sum expression through the oracle: every tree handle is
     expanded by brute force, coefficients exactly; negative powers in the
     coefficients must cancel across the whole expression."""
@@ -96,16 +111,17 @@ def sumexpr_series(expr, order: int) -> TruncatedSeries:
         low = coeff.min_t_exponent()
         if low is not None and low < 0:
             shift = max(shift, -low)
-    acc = TruncatedSeries([], order + shift)
+    work = order + shift
+    acc = Laurent()
     for coeff, factors in expr:
-        term = series_expand(coeff.shift_t(shift), order + shift)
+        term = series_expand(coeff.shift_t(shift), work)
         for tree in factors:
-            term = term * brute_force_decorated(tree, order + shift)
+            term = _product(term, brute_force_decorated(tree, work), work)
         acc = acc + term
-    return acc.shift(-shift)  # NegativePowerResidue if negative powers stay
+    return _truncated(acc.shift(-shift), order)  # NegativePowerResidue if negative powers stay
 
 
-def hypergeom_series(a: Fraction, b: Fraction, c: Fraction, order: int) -> TruncatedSeries:
+def hypergeom_series(a: Fraction, b: Fraction, c: Fraction, order: int) -> Laurent:
     """Raw 2F1(a, b; c; z) series in z, truncated: sum a^(n) b^(n) / (c^(n) n!) z^n.
     An independent reference for the generator series and `hypergeom_hk`."""
     coeffs = [Fraction(1)]
@@ -113,7 +129,7 @@ def hypergeom_series(a: Fraction, b: Fraction, c: Fraction, order: int) -> Trunc
     for n in range(order):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1))
         coeffs.append(term)
-    return TruncatedSeries(coeffs, order)
+    return series_of(coeffs)
 
 
 def gauss_value_hk(k: int) -> PiPoly:
@@ -170,7 +186,7 @@ def shared_engine():
     return Engine()
 
 
-def enumerate_decorated(tree: DecoratedTree, order: int) -> TruncatedSeries:
+def enumerate_decorated(tree: DecoratedTree, order: int) -> Laurent:
     """Tree sum by exhaustive enumeration of the vertex variables: the
     reference for `brute_force_decorated`, exponential in the number of
     non-gray vertices.
@@ -199,7 +215,7 @@ def enumerate_decorated(tree: DecoratedTree, order: int) -> TruncatedSeries:
         signed = signed_under[v]
         if not signed:
             if not _holds(0, deco.rel, kappa[v]):
-                return TruncatedSeries([0] * (order + 1), order)
+                return Laurent()
             continue
         slot = max(i for i, _ in signed) + 1
         checks_at[slot].append((signed, deco.rel, kappa[v]))
@@ -207,7 +223,7 @@ def enumerate_decorated(tree: DecoratedTree, order: int) -> TruncatedSeries:
     coeffs = [0] * (order + 1)
     if not post:
         coeffs[0] = 1
-        return TruncatedSeries(coeffs, order)
+        return series_of(coeffs)
     # Depth-first over the weights.  A stack entry is (variable, weight left,
     # product of the Catalan numbers so far, weight to try next); the last
     # variable's weights are summed in place.
@@ -229,10 +245,10 @@ def enumerate_decorated(tree: DecoratedTree, order: int) -> TruncatedSeries:
                     stack.append((idx, remaining, product, w + 1))
                     stack.append((idx + 1, remaining - w, product * catalan(w), 0))
                     break
-    return TruncatedSeries(coeffs, order)
+    return series_of(coeffs)
 
 
-def brute_force_edge(tree: PlainTree, order: int, budget: int = DEFAULT_BUDGET) -> TruncatedSeries:
+def brute_force_edge(tree: PlainTree, order: int, budget: int = DEFAULT_BUDGET) -> Laurent:
     """Tree sum by direct enumeration of the edge variables.
 
     One nonnegative weight per edge (plus one for the half-edge when
@@ -259,7 +275,7 @@ def brute_force_edge(tree: PlainTree, order: int, budget: int = DEFAULT_BUDGET) 
     coeffs = [0] * (order + 1)
     if n_edges == 0:
         coeffs[0] = 1
-        return TruncatedSeries(coeffs, order)
+        return series_of(coeffs)
 
     # Depth-first over the edge weights, one budget unit per visited node.  A
     # stack entry is (edge, degree left, weight to try next); the last edge's
@@ -282,4 +298,4 @@ def brute_force_edge(tree: PlainTree, order: int, budget: int = DEFAULT_BUDGET) 
                 stack.append((e, degree_left, w + 1))
                 stack.append((e + 1, degree_left - step * w, 0))
                 break
-    return TruncatedSeries(coeffs, order)
+    return series_of(coeffs)

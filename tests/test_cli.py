@@ -5,7 +5,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 from catsum.cli import main
-from catsum.series import TruncatedSeries, catalan
+from catsum.algebra import Laurent
+from catsum.series import catalan
 from catsum.stars import star_3f2_partial
 from catsum.trees import canonical_decorate, canonical_key, parse_plain
 from catsum.table_data import TABLE
@@ -217,7 +218,7 @@ def test_oracle_budget_env(monkeypatch, capsys):
 def test_oracle_mismatch_exits_1(monkeypatch, capsys):
     import catsum.cli
 
-    wrong = TruncatedSeries([1, 0, 3])
+    wrong = Laurent({0: 1, 2: 3})
     monkeypatch.setattr(catsum.cli, "brute_force_decorated", lambda *args, **kwargs: wrong)
     code, out, _ = run(capsys, "verify", "(())", "--order", "2")
     assert code == 1

@@ -34,6 +34,7 @@ from catsum.trees import (
 from conftest import (
     brute_force_edge,
     centroid_rooted,
+    dense,
     long_star_tree,
     random_decorated_tree,
     sumexpr_series,
@@ -135,7 +136,7 @@ def test_reduce_eight_vertex_example(shared_engine):
         }
     )
     series = series_expand(value, 10)
-    assert [series.coeffs[2 * i] for i in range(6)] == [1, 7, 58, 542, 5508, 59508]
+    assert dense(series, 10)[::2] == [1, 7, 58, 542, 5508, 59508]
 
 
 def test_step_equality_factor():
@@ -592,7 +593,9 @@ def test_memo_reuse_and_determinism():
 
 def test_large_shifts_peel_in_one_rewrite():
     """A shift of 1500 peels to zero in one rewrite, so the reduction stays
-    shallow under the default recursion limit and matches the oracle."""
+    shallow under the default recursion limit and matches the oracle.  Both
+    sums are zero through t^8, so this compares zero with zero; the shift
+    rules meet a nonzero oracle in `test_shift_rules_match_a_nonzero_oracle`."""
     leaf_shift = DecoratedTree(
         (-1, 0), (Decoration(WHITE, REL_EQ, 0), Decoration(WHITE, REL_GE, 1500))
     )
@@ -607,6 +610,75 @@ def test_large_shifts_peel_in_one_rewrite():
     for tree in (leaf_shift, gray_middle):
         value = Engine().reduce(tree)
         assert series_expand(value, 8) == brute_force_decorated(tree, 8)
+
+
+def _over_two_black_leaves(rel, shift) -> DecoratedTree:
+    leaf = Decoration(BLACK, REL_NONE, 0)
+    return DecoratedTree((-1, 0, 0), (Decoration(WHITE, rel, shift), leaf, leaf))
+
+
+@pytest.mark.parametrize(
+    "tree, shift",
+    [
+        (_over_two_black_leaves(REL_GE, 40), 40),
+        (_over_two_black_leaves(REL_LE, -40), 40),
+        (_over_two_black_leaves(REL_GE, -40), 40),
+        (_over_two_black_leaves(REL_EQ, 40), 40),
+        (
+            DecoratedTree((-1, 0), (Decoration(WHITE, REL_NONE, 0), Decoration(BLACK, REL_GE, -40))),
+            40,
+        ),
+        (
+            DecoratedTree(
+                (-1, 0, 1),
+                (
+                    Decoration(WHITE, REL_GE, 30),
+                    Decoration(GRAY, REL_NONE, 0),
+                    Decoration(BLACK, REL_NONE, 0),
+                ),
+            ),
+            30,
+        ),
+    ],
+    ids=[
+        "white-ge-40",
+        "white-le-minus-40",
+        "white-ge-minus-40",
+        "white-eq-40",
+        "leaf-ge-minus-40",
+        "gray-middle-ge-30",
+    ],
+)
+def test_shift_rules_match_a_nonzero_oracle(tree, shift):
+    """Shifts of 30 and 40, peeled or resolved at a leaf, against the oracle
+    at order 2K + 8, where its series is not zero.  (A gray `ge 40` root over
+    black leaves is zero at every order, so it is no such case.)"""
+    order = 2 * shift + 8
+    oracle = brute_force_decorated(tree, order)
+    assert not oracle.is_zero()
+    assert series_expand(Engine().reduce(tree), order) == oracle
+
+
+def test_shift_peeling_identity_in_the_algebra():
+    """S(ge K) = S(ge 0) - sum_{r<K} S(eq r) as algebra elements, for a black
+    `ge K` vertex between a free white root and a white leaf, with a black
+    leaf under the root."""
+    engine = Engine()
+
+    def closed_form(rel, k):
+        decos = (
+            Decoration(WHITE, REL_NONE, 0),
+            Decoration(BLACK, rel, k),
+            Decoration(WHITE, REL_NONE, 0),
+            Decoration(BLACK, REL_NONE, 0),
+        )
+        return engine.reduce(DecoratedTree((-1, 0, 1, 0), decos))
+
+    k = 100
+    peeled = closed_form(REL_GE, 0)
+    for r in range(k):
+        peeled = peeled - closed_form(REL_EQ, r)
+    assert closed_form(REL_GE, k) == peeled
 
 
 @pytest.mark.parametrize(
@@ -625,7 +697,7 @@ def test_finite_enumeration_past_small_root_shifts(color, d, shift):
     assert lines == [f"RULE {prefix}-finite-enumeration AT 0 -> 1 subproblems"]
     order = 2 * shift + 8
     oracle = brute_force_decorated(tree, order)
-    assert any(oracle.coeffs)
+    assert not oracle.is_zero()
     assert series_expand(value, order) == oracle
 
 

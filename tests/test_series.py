@@ -1,4 +1,6 @@
-"""Truncated series arithmetic and the tree-sum oracles."""
+"""Series through t^N, each a `Laurent` with exponents in 0..N: the
+truncating product and check, the two CLI renderers, the generator series,
+`series_expand`, and the tree-sum oracles."""
 
 import random
 import sys
@@ -11,12 +13,15 @@ from catsum.algebra import H1, ONE, AlgebraElement, Laurent
 from catsum.series import (
     BudgetExceededError,
     NegativePowerResidue,
-    TruncatedSeries,
+    _product,
+    _truncated,
     brute_force_decorated,
     catalan,
     catalan_power_coeff,
     generator_series,
     series_expand,
+    series_json,
+    series_text,
 )
 from catsum.table_data import LINE_EXAMPLE_8, TABLE
 from catsum.trees import (
@@ -37,10 +42,12 @@ from catsum.trees import (
 
 from conftest import (
     brute_force_edge,
+    dense,
     enumerate_decorated,
     hypergeom_series,
     long_star_tree,
     random_decorated_tree,
+    series_of,
     two_vertex,
 )
 
@@ -51,11 +58,11 @@ def test_catalan_numbers():
 
 def test_generator_series_values():
     h1 = generator_series("H1", 4)
-    assert h1.coeffs == [1, 0, 4, 0, 4]  # 4 Cat_0^2 t^2 + 4 Cat_1^2 t^4
-    assert generator_series("C", 3).coeffs == [1, 1, 2, 5]
-    assert generator_series("s", 2).coeffs == [1, -2, -2]
+    assert dense(h1, 4) == [1, 0, 4, 0, 4]  # 4 Cat_0^2 t^2 + 4 Cat_1^2 t^4
+    assert dense(generator_series("C", 3), 3) == [1, 1, 2, 5]
+    assert dense(generator_series("s", 2), 2) == [1, -2, -2]
     h2 = generator_series("H2", 4)
-    assert h2.coeffs == [1, 0, -2, 0, -4]  # -2 Cat_{n-1} Cat_n t^{2n}
+    assert dense(h2, 4) == [1, 0, -2, 0, -4]  # -2 Cat_{n-1} Cat_n t^{2n}
     with pytest.raises(ValueError):
         generator_series("H3", 4)
 
@@ -64,25 +71,11 @@ def test_generator_series_against_hypergeometric_formula():
     # raw 2F1 coefficient formula, z = 16 t^2, through order 16
     for name, b in (("H1", Fraction(-1, 2)), ("H2", Fraction(1, 2))):
         c = Fraction(1) if name == "H1" else Fraction(2)
-        direct = hypergeom_series(Fraction(-1, 2), b, c, 8)
-        ours = generator_series(name, 16)
+        direct = dense(hypergeom_series(Fraction(-1, 2), b, c, 8), 8)
+        ours = dense(generator_series(name, 16), 16)
         for n in range(9):
-            assert ours.coeffs[2 * n] == direct.coeffs[n] * 16**n
-        assert all(ours.coeffs[m] == 0 for m in range(1, 17, 2))
-
-
-def test_series_arithmetic():
-    a = TruncatedSeries([1, 2, 3], 2)
-    b = TruncatedSeries([1, 1], 4)
-    assert (a + b).order == 2 and (a + b).coeffs == [2, 3, 3]
-    assert (a * b).coeffs == [1, 3, 5]
-    assert a.scale(2).coeffs == [2, 4, 6]
-    assert a.shift(2).coeffs == [0, 0, 1, 2, 3]
-    assert TruncatedSeries([0, 0, 1, 5], 3).shift(-2).coeffs == [1, 5]
-    with pytest.raises(NegativePowerResidue):
-        TruncatedSeries([1, 0], 1).shift(-1)
-    assert str(TruncatedSeries([1, -1, 0, Fraction(1, 2)], 3)) == "1 - t + 1/2*t^3"
-    assert a.to_json() == ["1", "2", "3"]
+            assert ours[2 * n] == direct[n] * 16**n
+        assert all(ours[m] == 0 for m in range(1, 17, 2))
 
 
 # The reference for the series kernel: dense Fraction-list arithmetic, in
@@ -105,14 +98,7 @@ def _ref_pow(a, n):
     return result
 
 
-def _ref_shift(a, k):
-    """a * t^k, or None where the reference raised NegativePowerResidue."""
-    if k >= 0:
-        return [Fraction(0)] * k + a
-    return None if any(a[:-k]) else a[-k:]
-
-
-def test_series_arithmetic_matches_dense_reference():
+def test_product_matches_truncated_full_product():
     rng = random.Random(8)
 
     def random_coeffs():
@@ -122,57 +108,75 @@ def test_series_arithmetic_matches_dense_reference():
             for _ in range(rng.randint(1, 8))
         ]
 
-    shifted_down = 0
     for _ in range(300):
         a, b = random_coeffs(), random_coeffs()
-        sa, sb = TruncatedSeries(a), TruncatedSeries(b)
-        q = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        pa, pb = series_of(a), series_of(b)
+        order = min(len(a), len(b)) - 1
+        got = _product(pa, pb, order)
+        assert got == _truncated(pa * pb, order)
+        assert dense(got, order) == _ref_mul(a, b)
+        # A negative exponent, as in a coefficient of `series_expand`, pairs too.
+        k = rng.randint(1, 3)
+        full = (pa.shift(-k) * pb).terms
+        assert _product(pa.shift(-k), pb, order).terms == {
+            e: v for e, v in full.items() if e <= order
+        }
         n = rng.randint(0, 4)
-        cases = [
-            (sa + sb, [x + y for x, y in zip(a, b)]),
-            (-sa, [-x for x in a]),
-            (sa - sb, [x - y for x, y in zip(a, b)]),
-            (sa * sb, _ref_mul(a, b)),
-            (sa.scale(q), [x * q for x in a]),
-            (sa**n, _ref_pow(a, n)),
-        ]
-        for got, want in cases:
-            assert (got.order, got.coeffs, got.to_json()) == (
-                len(want) - 1, want, [str(c) for c in want]
-            )
-            assert got == TruncatedSeries(want)
-        k = rng.randint(-4, 4)
-        want = _ref_shift(a, k)
-        if want is None:
-            with pytest.raises(NegativePowerResidue, match=f"t\\^{k} shift"):
-                sa.shift(k)
-        elif not want:
-            with pytest.raises(ValueError, match="order must be nonnegative"):
-                sa.shift(k)
-        else:
-            shifted_down += k < 0
-            assert sa.shift(k) == TruncatedSeries(want)
-            assert sa.shift(k).order == sa.order + k
-    assert shifted_down > 20
+        power = series_of([1])
+        for _ in range(n):
+            power = _product(power, pa, len(a) - 1)
+        assert dense(power, len(a) - 1) == _ref_pow(a, n)
+    assert _product(Laurent(), series_of([1, 2]), 3) == Laurent()
+    assert _product(series_of([1, 2]), series_of([3, 4]), 0) == series_of([3])
+
+
+def test_truncated_checks_negative_powers_then_order():
+    assert _truncated(series_of([1, 2, 3, 4]), 1) == series_of([1, 2])
+    assert _truncated(series_of([0, 0, 5]), 7) == series_of([0, 0, 5])
+    assert _truncated(Laurent(), 0) == Laurent()
+    low = Laurent({-2: 1, -1: 3, 0: 1})
+    with pytest.raises(NegativePowerResidue, match=r"^uncancelled negative powers at t\^\[-2, -1\]$"):
+        _truncated(low, 4)
+    # the negative power is reported first, whatever the order
+    with pytest.raises(NegativePowerResidue):
+        _truncated(low, -1)
+    with pytest.raises(ValueError, match="^order must be nonnegative$") as info:
+        _truncated(series_of([1]), -1)
+    assert type(info.value) is ValueError
+
+
+def test_series_renderers():
+    half = Fraction(1, 2)
+    cases = [
+        (Laurent(), 0, "0", ["0"]),
+        (Laurent(), 2, "0", ["0", "0", "0"]),
+        (series_of([1, 2, 0, 0]), 3, "1 + 2*t", ["1", "2", "0", "0"]),
+        (series_of([1, -1, 0, half]), 3, "1 - t + 1/2*t^3", ["1", "-1", "0", "1/2"]),
+        (series_of([0, -half, 0, -3]), 4, "-1/2*t - 3*t^3", ["0", "-1/2", "0", "-3", "0"]),
+        (series_of([Fraction(-7, 3)]), 1, "-7/3", ["-7/3", "0"]),
+    ]
+    for poly, order, text, blob in cases:
+        assert series_text(poly) == text
+        assert series_json(poly, order) == blob
 
 
 def test_series_coefficients_are_exact():
     for bad in (0.1, 1.0, "1", "1/2"):
         with pytest.raises(TypeError):
-            TruncatedSeries([1, bad])
+            series_of([1, bad])
         with pytest.raises(TypeError):
-            TruncatedSeries([1, 2]).scale(bad)
-    s = TruncatedSeries([1, Fraction(1, 3)], 3)
-    s.coeffs[0] = Fraction(7)
-    assert s.coeffs == [1, Fraction(1, 3), 0, 0] and s.poly == Laurent({0: 1, 1: Fraction(1, 3)})
+            series_of([1, 2]).scale(bad)
+    s = series_of([1, Fraction(1, 3)])
+    s.terms[0] = Fraction(7)
+    assert dense(s, 3) == [1, Fraction(1, 3), 0, 0] and s == Laurent({0: 1, 1: Fraction(1, 3)})
 
 
 def test_series_expand_examples():
     s_eq0 = (H1 - ONE).shift_t(-2).scale(Fraction(1, 4))
-    assert series_expand(s_eq0, 6).coeffs == [1, 0, 1, 0, 4, 0, 25]
+    assert dense(series_expand(s_eq0, 6), 6) == [1, 0, 1, 0, 4, 0, 25]
     from catsum.algebra import catalan_gf
 
-    assert series_expand(catalan_gf(), 3).coeffs == [1, 1, 2, 5]
+    assert dense(series_expand(catalan_gf(), 3), 3) == [1, 1, 2, 5]
     with pytest.raises(NegativePowerResidue):
         series_expand(AlgebraElement.from_laurent(Laurent.t_power(-1)), 4)
 
@@ -185,11 +189,11 @@ def _two_vertex(rel=REL_NONE, shift=0):
 
 def test_brute_force_decorated_examples():
     p2 = canonical_decorate(parse_plain("(())"))
-    assert brute_force_decorated(p2, 6).coeffs == [1, 0, 1, 0, 4, 0, 25]
+    assert dense(brute_force_decorated(p2, 6), 6) == [1, 0, 1, 0, 4, 0, 25]
     p3 = canonical_decorate(parse_plain("(()())"))
-    assert brute_force_decorated(p3, 6).coeffs == [1, 0, 2, 0, 10, 0, 70]
+    assert dense(brute_force_decorated(p3, 6), 6) == [1, 0, 2, 0, 10, 0, 70]
     lone = DecoratedTree((-1,), (Decoration(WHITE, REL_EQ, 1),))
-    assert brute_force_decorated(lone, 3).coeffs == [0, 1, 0, 0]
+    assert dense(brute_force_decorated(lone, 3), 3) == [0, 1, 0, 0]
 
 
 def test_brute_force_decorated_gray_and_shifts():
@@ -198,26 +202,26 @@ def test_brute_force_decorated_gray_and_shifts():
         (-1, 0),
         (Decoration(GRAY, REL_EQ, 1), Decoration(WHITE, REL_NONE, 0)),
     )
-    assert brute_force_decorated(t, 4).coeffs == [0, 1, 0, 0, 0]
+    assert dense(brute_force_decorated(t, 4), 4) == [0, 1, 0, 0, 0]
     # an unsatisfiable one kills the sum
     t = DecoratedTree(
         (-1, 0),
         (Decoration(GRAY, REL_EQ, -1), Decoration(WHITE, REL_NONE, 0)),
     )
-    assert brute_force_decorated(t, 4).coeffs == [0] * 5
+    assert brute_force_decorated(t, 4).is_zero()
     # two-vertex sum with equality shift: S_{eq,1} = sum Cat_x Cat_{x+1} t^{2x+1}
     t = _two_vertex(REL_EQ, 1)
-    assert brute_force_decorated(t, 5).coeffs == [0, 1, 0, 2, 0, 10]
+    assert dense(brute_force_decorated(t, 5), 5) == [0, 1, 0, 2, 0, 10]
 
 
 def test_brute_force_edge_examples():
     p2 = parse_plain("(())")
-    assert brute_force_edge(p2, 4).coeffs == [1, 0, 1, 0, 4]
+    assert dense(brute_force_edge(p2, 4), 4) == [1, 0, 1, 0, 4]
     p1h = parse_plain("halfedge:()")
-    assert brute_force_edge(p1h, 3).coeffs == [1, 1, 2, 5]
+    assert dense(brute_force_edge(p1h, 3), 3) == [1, 1, 2, 5]
     big = parse_plain("((()())(()())())")
     series = brute_force_edge(big, 10)
-    assert [series.coeffs[2 * i] for i in range(6)] == [1, 7, 58, 542, 5508, 59508]
+    assert dense(series, 10)[::2] == [1, 7, 58, 542, 5508, 59508]
 
 
 def test_cross_oracle_small_trees():
@@ -234,12 +238,10 @@ def test_cross_oracle_small_trees():
 
 
 def test_catalan_power_identity():
+    c, power = generator_series("C", 12), series_of([1])
     for s in range(1, 9):
-        power = generator_series("C", 12) ** s
-        for n in range(13):
-            assert power.coeffs[n] == catalan_power_coeff(s, n), (s, n)
-    with pytest.raises(ValueError, match="negative powers"):
-        TruncatedSeries([1, 2, 3]) ** -2
+        power = _product(power, c, 12)
+        assert dense(power, 12) == [catalan_power_coeff(s, n) for n in range(13)], s
 
 
 def test_budget_guard():
@@ -274,9 +276,9 @@ def test_oracles_walk_long_paths_without_recursion():
     all_eq = DecoratedTree(
         tuple(range(-1, n - 1)), tuple(Decoration(WHITE, REL_EQ, 0) for _ in range(n))
     )
-    assert brute_force_decorated(all_eq, 2).coeffs == [1, 0, 0]
+    assert dense(brute_force_decorated(all_eq, 2), 2) == [1, 0, 0]
     path = PlainTree(tuple(range(-1, n - 1)))
-    assert brute_force_edge(path, 0).coeffs == [1]
+    assert dense(brute_force_edge(path, 0), 0) == [1]
 
 
 @pytest.mark.parametrize(
@@ -291,7 +293,7 @@ def test_oracles_walk_long_paths_without_recursion():
 def test_oracles_reject_negative_order(oracle, tree):
     with pytest.raises(ValueError, match="order must be nonnegative"):
         oracle(tree, -1)
-    assert oracle(tree, 0).coeffs == [1]
+    assert dense(oracle(tree, 0), 0) == [1]
 
 
 def test_decorated_oracle_is_linear_on_long_paths():
@@ -301,7 +303,7 @@ def test_decorated_oracle_is_linear_on_long_paths():
     all_eq = DecoratedTree(
         tuple(range(-1, n - 1)), tuple(Decoration(WHITE, REL_EQ, 0) for _ in range(n))
     )
-    assert brute_force_decorated(all_eq, 2, budget=11997).coeffs == [1, 0, 0]
+    assert dense(brute_force_decorated(all_eq, 2, budget=11997), 2) == [1, 0, 0]
     with pytest.raises(BudgetExceededError):
         brute_force_decorated(all_eq, 2, budget=11996)
 
