@@ -633,7 +633,7 @@ def _truncated(value: Fraction, digits: int) -> str:
     sign = "-" if value < 0 else ""
     value = abs(value)
     int_part, frac_part = divmod(value.numerator * 10**digits // value.denominator, 10**digits)
-    return f"{sign}{_fraction_text(int_part)}.{frac_part:0{digits}d}"
+    return f"{sign}{_fraction_text(int_part)}" + (f".{frac_part:0{digits}d}" if digits else "")
 
 
 def _pipoly(poly: Laurent) -> "PiPoly":
@@ -725,13 +725,17 @@ class PiPoly:
         return self.poly.eval_at(1 / _pi_bounds(_PI_PLACES)[0])
 
     def to_decimal(self, digits: int = 12) -> str:
-        """Truncated decimal expansion with `digits` places after the point.
+        """Truncated decimal expansion with `digits` places after the point,
+        and no point for 0 places; a negative value keeps its sign even when
+        every printed digit is 0, as in `-0.00`.
 
         Each term v/pi^d is bounded with pi between its truncation to P
         places and that plus 10^-P, for P = 100, 200, 400, ..., and the
         truncation is returned once both ends of the resulting interval
         truncate to the same text.
         """
+        if digits < 0:
+            raise ValueError("digits must be nonnegative")
         places = _PI_PLACES
         while True:
             pi_low, pi_high = _pi_bounds(places)

@@ -14,8 +14,8 @@ repeatedly rewriting it into combinations of strictly simpler trees:
   4. taller good trees are attacked at a height-2 fringe, which is always
      a long star; the star relations, a tridiagonal linear system (one
      rewrite into its right-hand-side stars) and, for equality-decorated
-     roots, a finite enumeration (every coefficient from one convolution
-     pass) finish the job.
+     roots, a finite enumeration (the one coefficient it needs, read after
+     truncated convolutions) finish the job.
 
 Every rewrite identity used here is an exact equality of formal sums, so
 the result is the exact normal form of S(T).  `Engine.step` is the single
@@ -166,17 +166,18 @@ def base_sum(rel: str, k: int) -> AlgebraElement:
     return total
 
 
-def _eq_power(d: int, total: int) -> list[AlgebraElement]:
-    """The coefficients of z^0, ..., z^total in (sum_{x>=0} S_{eq,x} z^x)^d:
-    entry m sums over d nonnegative branch differences adding up to m (no
-    entry for total < 0)."""
-    series = [base_sum(REL_EQ, x) for x in range(total + 1)]
-    power = series
+def _enumerated(d: int, k: int, color: int) -> AlgebraElement:
+    """[z^k] G(z)^d W(z) with G(z) = sum_{x>=0} S_{eq,x} z^x and W(z) =
+    sum_r S(center alone, eq r) z^r: the sum over d nonnegative branch
+    differences and the center's own variable adding up to k (W = 1 for a
+    gray center, sum_r Cat_r t^r z^r for a white one).  Starts from W,
+    convolves d - 1 times with G truncated at z^k and reads z^k off one dot
+    product with G (zero for k < 0)."""
+    g = [base_sum(REL_EQ, x) for x in range(k + 1)]
+    acc = [height_zero_sum(Decoration(color, REL_EQ, r)) for r in range(k + 1)]
     for _ in range(d - 1):
-        power = [
-            sum((power[a] * series[m - a] for a in range(m + 1)), ZERO) for m in range(total + 1)
-        ]
-    return power
+        acc = [sum((acc[a] * g[m - a] for a in range(m + 1)), ZERO) for m in range(k + 1)]
+    return sum((acc[a] * g[k - a] for a in range(k + 1)), ZERO)
 
 
 def tridiagonal_inverse_row(n: int, r: int) -> list[Fraction]:
@@ -378,13 +379,14 @@ class Engine:
         ]
 
     def _twin_step(self, tree: DecoratedTree, w1: int, w2: int) -> SumExpr:
-        """sum_{a+b=L-1} Cat_a Cat_b = Cat_L: two same-colored relation-free
-        leaves become one leaf carrying a +-1 shift, minus the tree where the
-        pair is dropped and the parent absorbs the shift."""
+        """sum_{a+b=L-1} Cat_a Cat_b = Cat_L: the parent takes a +-1 shift
+        once, and from that tree the two same-colored relation-free leaves
+        become one (w1, still relation-free with shift 0), minus the tree
+        where the pair is dropped."""
         color = tree.decos[w1].color
-        delta = 1 if color == WHITE else -1
-        merged = with_merged_twins(tree, w1, w2, Decoration(color, REL_NONE, delta))
-        dropped = without_leaves(with_shift_added(tree, tree.parents[w1], delta), (w1, w2))
+        shifted = with_shift_added(tree, tree.parents[w1], 1 if color == WHITE else -1)
+        merged = with_merged_twins(shifted, w1, w2, Decoration(color, REL_NONE, 0))
+        dropped = without_leaves(shifted, (w1, w2))
         return [(T_INV, (merged,)), (T_INV.scale(-1), (dropped,))]
 
     def _consecutive_step(self, tree: DecoratedTree, leaf: int) -> SumExpr:
@@ -483,9 +485,10 @@ class Engine:
         """A star whose d branches are all `ge`, or all `le` when `lowered`.
         Read from the `ge` side (flipped when lowered), the center condition
         is implied by the branches (ge), pinches every branch to equality
-        (le), or, at an equality root, bounds the branch differences by the
-        root shift: a finite enumeration.  A white center's variable r >= 0
-        contributes Cat_r t^r toward that total."""
+        (le: the enumeration at total 0), or, at an equality root, bounds
+        the branch differences by the root shift: a finite enumeration, where
+        a white center's variable r >= 0 contributes Cat_r t^r toward that
+        total."""
         deco = tree.decos[v]
         prefix = "ustar" if deco.color == WHITE else "vstar"
         seen = deco.flipped() if lowered else deco
@@ -494,15 +497,7 @@ class Engine:
             return f"{prefix}-drop-implied-center", v, [(ONE, (with_relation(tree, v, REL_NONE),))]
         if rel == REL_LE:
             assert k == 0
-            value = base_sum(REL_EQ, 0) ** d
             rest = (without_subtree(tree, v),) if v else ()
-            return f"{prefix}-forced-equalities", v, [(value, rest)]
+            return f"{prefix}-forced-equalities", v, [(_enumerated(d, 0, deco.color), rest)]
         assert rel == REL_EQ and v == 0
-        powers = _eq_power(d, k)
-        if deco.color == GRAY:
-            value = powers[k] if powers else ZERO
-        else:
-            value = ZERO
-            for r in range(k + 1):
-                value = value + powers[k - r].mul_laurent(Laurent.t_power(r, catalan(r)))
-        return f"{prefix}-finite-enumeration", v, [(value, ())]
+        return f"{prefix}-finite-enumeration", v, [(_enumerated(d, k, deco.color), ())]

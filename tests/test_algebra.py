@@ -487,6 +487,16 @@ def test_pipoly_decimal_truncates():
     # 1/pi = 0.3183098861837906..., truncation keeps 12 exact digits
     assert PiPoly({1: 1}).to_decimal(12) == "0.318309886183"
     assert PiPoly({0: Fraction(-1, 8)}).to_decimal(3) == "-0.125"
+    # 0 places: the truncated integer part and no point; the sign stays, as
+    # in "-0.5" at one place
+    assert PiPoly({0: Fraction(-3, 2)}).to_decimal(0) == "-1"
+    assert PiPoly({0: Fraction(-1, 2)}).to_decimal(0) == "-0"
+    assert PiPoly({1: 16, 0: -4}).to_decimal(0) == "1"
+    assert PiPoly().to_decimal(0) == "0"
+    assert PiPoly().to_decimal(2) == "0.00"
+    for digits in (-1, -5):
+        with pytest.raises(ValueError, match="digits must be nonnegative"):
+            PiPoly({1: 1}).to_decimal(digits)
     # the printed 100 places of pi, against the pi that to_fraction uses
     assert _pi_times_power_of_ten(100) == int(PI_100.replace(".", ""))
     assert PiPoly({1: 1}).to_fraction() == 1 / Fraction(PI_100)

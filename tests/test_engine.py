@@ -188,8 +188,12 @@ def test_step_twin_merge():
     assert rule == "merge-twin-leaves"
     (c1, (merged,)), (c2, (dropped,)) = expr
     assert c1 == ONE.shift_t(-1) and c2 == ONE.shift_t(-1).scale(-1)
-    assert len(merged) == 2 and merged.decos[1] == Decoration(WHITE, REL_NONE, 1)
-    assert len(dropped) == 1 and dropped.decos[0].shift == 1
+    # The parent takes the +1 once; the merged leaf keeps (none, 0).
+    assert len(merged) == 2 and merged.decos == (
+        Decoration(WHITE, REL_EQ, 1),
+        Decoration(WHITE, REL_NONE, 0),
+    )
+    assert len(dropped) == 1 and dropped.decos[0] == Decoration(WHITE, REL_EQ, 1)
     # Two twin pairs: the merge takes the lowest leaf that has a twin, here
     # 1 (twin 5), although the pair 3, 4 is complete first in index order.
     black, white = Decoration(BLACK, REL_NONE, 0), Decoration(WHITE, REL_NONE, 0)
@@ -198,7 +202,8 @@ def test_step_twin_merge():
     )
     rule, site, ((_, (merged,)), _) = Engine().step(tree)
     assert (rule, site) == ("merge-twin-leaves", 1)
-    assert merged.parents == (-1, 0, 0, 2, 2) and merged.decos[1] == Decoration(BLACK, REL_NONE, -1)
+    assert merged.parents == (-1, 0, 0, 2, 2)
+    assert merged.decos[:2] == (Decoration(WHITE, REL_EQ, -1), black)
 
 
 def test_step_no_rule():
@@ -430,7 +435,8 @@ def _enumerated_eq_star(d, total):
 def test_finite_enumeration_matches_compositions():
     """Equality-rooted one-sided stars against the composition walk: gray
     centers over d ge- or le-branches, white centers whose own variable r
-    adds Cat_r t^r toward the total."""
+    adds Cat_r t^r toward the total; and le-rooted ones, forced equalities,
+    against the walk at total 0."""
     engine = Engine()
     for d in range(1, 5):
         for total in range(-3, 6):
@@ -444,10 +450,20 @@ def test_finite_enumeration_matches_compositions():
                 )
             tree = long_star_tree(d, 0, 0, REL_EQ, total, center_color=WHITE)
             assert engine.step(tree) == ("ustar-finite-enumeration", 0, [(white, ())])
+        # A le root over ge-branches (ge over le-branches) pinches every branch
+        # to equality: the enumeration at total 0, where a white center's
+        # variable is 0 too.
+        forced = [(_enumerated_eq_star(d, 0), ())]
+        for prefix, color in (("vstar", GRAY), ("ustar", WHITE)):
+            tree = long_star_tree(d, 0, 0, REL_LE, 0, center_color=color)
+            assert engine.step(tree) == (f"{prefix}-forced-equalities", 0, forced)
+        tree = long_star_tree(0, d, 0, REL_GE, 0)
+        assert engine.step(tree) == ("vstar-forced-equalities", 0, forced)
 
 
 def test_long_star_examples(shared_engine):
-    # equality-rooted gray star with two ge-branches: forced equalities
+    # gray eq 0 star over two ge-branches: a finite enumeration at total 0,
+    # every branch difference 0
     assert shared_engine.reduce(long_star_tree(2, 0, 0, REL_EQ, 0)) == S0 * S0
     # white (ge,0) star over d branches: free root times one ge-branch each
     for d in (1, 2, 3):
@@ -689,7 +705,8 @@ def test_finite_enumeration_past_small_root_shifts(color, d, shift):
     """An equality root with shift K over d `ge` branches is a finite
     enumeration; the engine matches the oracle at order 2K + 8, where the
     oracle series is not zero.  The white `eq 40` case over three branches
-    takes about ten times as long when each term redoes the convolution."""
+    is the one whose engine time shows when the enumeration builds more
+    than the one coefficient it reads."""
     tree = long_star_tree(d, 0, 0, REL_EQ, shift, center_color=color)
     lines = []
     value = Engine(trace=lines.append).reduce(tree)
