@@ -6,26 +6,30 @@ Generators:
   H2 = 2F1(-1/2,  1/2; 2; 16 t^2)
   s  = sqrt(1 - 4t),  reduced through s^2 = 1 - 4t, so s-exponents stay in {0, 1}
 
-An element is stored in normal form as a finite association
+An element is stored in normal form as one finite association
 
-  (a, b, c)  ->  Laurent polynomial in t over Q        (c in {0, 1})
+  packed (a, b, c, e)  ->  integer numerator, over one denominator   (c in {0, 1})
 
-meaning  sum coeff * H1^a * H2^b * s^c.  Equality is equality of normal
-forms, which is a faithful test because the three generators are
-algebraically independent over Q(t).  The filtration degree assigns 2 to
-H1 and H2 and 1 to s.
+meaning  sum (numerator / denominator) * H1^a * H2^b * s^c * t^e.
+Equality is equality of normal forms, which is a faithful test because the
+three generators are algebraically independent over Q(t).  The filtration
+degree assigns 2 to H1 and H2 and 1 to s.
 
-A Laurent coefficient is stored as integer numerators over one common
-denominator, the content-times-primitive-part layout of FLINT's fmpq_poly:
-`nums` maps exponent -> nonzero int and `den` > 0 is an int, with
-gcd(den, *nums) == 1 and den == 1 for the zero polynomial.  That stored
-form is unique, so equality and hashing compare it directly, and each
-operation does integer arithmetic followed by one gcd normalisation.
-A product multiplies the operand with more generator keys by each key of
-the other (`_times_monomial`), takes the first part as the result and adds
-the others into it with `_merge`, the one add-in-and-drop-zero loop, which
-`+` uses too.  A one-term coefficient, such as 1, -1, 1/t or 1/t^2, scales
-and shifts instead of convolving.
+`Laurent` and `AlgebraElement` share one stored form, the
+content-times-primitive-part layout of FLINT's fmpq_poly: `nums` maps a key
+to a nonzero int and `den` > 0 is an int, with gcd(den, *nums) == 1 and
+den == 1 for zero.  That form is unique, so equality and hashing compare it
+directly.  A Laurent's key is its exponent; an element's key packs the four
+exponents into one int, as in the packed exponent vectors of Monagan and
+Pearce (CASC 2007), so that keys add as monomials multiply.  One int-dict
+kernel serves both types: `_sum` adds the smaller operand into a copy of
+the larger, `_convolution` multiplies, `_times_term` scales and shifts by a
+one-term factor such as 1, -1, 1/t or 1/t^2, and `_normal` divides out the
+common gcd.  An element product then rewrites s^2 = 1 - 4t in one pass over
+the keys whose s field is 2.  Each element carries a bound on its fields,
+and an exponent that could carry into the next field raises OverflowError.
+`terms` is the read-only {(a, b, c): Laurent} view, built on demand for
+rendering and series expansion.
 
 Evaluation at t = 1/4 sends s -> 0, H1 -> 4/pi, H2 -> 8/(3 pi) and every
 Laurent coefficient to its exact rational value, landing in Q[1/pi]
@@ -33,9 +37,10 @@ Laurent coefficient to its exact rational value, landing in Q[1/pi]
 truncated series (module `series`) is a `Laurent` in t with exponents in
 0..order, so `Laurent` is the only polynomial arithmetic over Q in the
 package, and one term renderer (`_term`, `_joined`) prints `Laurent`,
-`AlgebraElement` and truncated series alike, writing every rational through `_fraction_text`, exact at
-any size and subquadratic in it.  `_stored`, `_element` and `_pipoly`
-wrap values already in normal form unchecked, as `_coprime` wraps a
+`AlgebraElement` and truncated series alike, writing every rational
+through `_fraction_text`, exact at any size and subquadratic in it.
+`_stored`, `_element` and `_pipoly` wrap values already in normal form
+without normalising them again, as `_coprime` wraps a
 Fraction already in lowest terms, one square-and-multiply (`_power`)
 serves every `**`, and decimals bound pi by Machin's formula on integers
 to as many places as they need.  No floating point is used
@@ -137,14 +142,66 @@ def _coprime(numerator: int, denominator: int) -> Fraction:
     return res
 
 
-def _reduced(nums: dict[int, int], den: int) -> "Laurent":
-    """A Laurent from nonzero numerators over den > 0, divided by their common gcd."""
+# The int-dict kernel that `Laurent` and `AlgebraElement` share: operands
+# hold int numerators `nums` over `den`, and results are (nums, den).
+
+
+def _normal(nums: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """Nonzero numerators over den > 0, divided by their common gcd."""
     if den != 1:
         g = gcd(den, *nums.values())
         if g != 1:
             nums = {k: n // g for k, n in nums.items()}
             den //= g
-    return _stored(nums, den)
+    return nums, den
+
+
+def _sum(x, y) -> tuple[dict[int, int], int]:
+    """x + y: the smaller operand is added into a copy of the larger."""
+    if len(x.nums) < len(y.nums):
+        x, y = y, x
+    den = x.den
+    if den == y.den:
+        out, m = dict(x.nums), 1
+    else:
+        den = lcm(den, y.den)
+        m1, m = den // x.den, den // y.den
+        out = {k: n * m1 for k, n in x.nums.items()}
+    for k, n in y.nums.items():
+        w = out.get(k, 0) + n * m
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return _normal(out, den)
+
+
+def _convolution(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The numerators of a product, zero sums kept: each pair of terms adds
+    its product under the sum of its keys."""
+    out: dict[int, int] = {}
+    for k1, n1 in a.items():
+        for k2, n2 in b.items():
+            k = k1 + k2
+            out[k] = out.get(k, 0) + n1 * n2
+    return out
+
+
+def _times_term(x, key: int, p: int, r: int) -> tuple[dict[int, int], int]:
+    """x * (p/r) X^key for p != 0 and r > 0 coprime, where X^key is a
+    monomial that sends distinct keys to distinct keys.
+
+    As gcd(den, *nums) == 1 and gcd(p, r) == 1, the product's common
+    factor is gcd(p, den) * gcd(r, *nums), so no gcd runs over the
+    product's numerators."""
+    g1 = gcd(p, x.den)
+    g2 = gcd(r, *x.nums.values()) if r != 1 else 1
+    f = p // g1
+    if g2 == 1:
+        out = {k + key: n * f for k, n in x.nums.items()}
+    else:
+        out = {k + key: n // g2 * f for k, n in x.nums.items()}
+    return out, x.den // g1 * (r // g2)
 
 
 def _power(base, n: int, one):
@@ -212,20 +269,7 @@ class Laurent:
         return hash((self.den, frozenset(self.nums.items())))
 
     def __add__(self, other: "Laurent") -> "Laurent":
-        den = self.den
-        if den == other.den:
-            out, m = dict(self.nums), 1
-        else:
-            den = lcm(den, other.den)
-            m1, m = den // self.den, den // other.den
-            out = {k: n * m1 for k, n in self.nums.items()}
-        for k, n in other.nums.items():
-            w = out.get(k, 0) + n * m
-            if w:
-                out[k] = w
-            else:
-                del out[k]
-        return _reduced(out, den)
+        return _stored(*_sum(self, other))
 
     def __neg__(self) -> "Laurent":
         return _stored({k: -n for k, n in self.nums.items()}, self.den)
@@ -234,42 +278,18 @@ class Laurent:
         return self + (-other)
 
     def __mul__(self, other: "Laurent") -> "Laurent":
-        a, b = self.nums, other.nums
-        if not a or not b:
-            return L_ZERO
-        if len(b) == 1:
-            ((e, n),) = b.items()
-            return self._times_term(e, n, other.den)
-        if len(a) == 1:
-            ((e, n),) = a.items()
-            return other._times_term(e, n, self.den)
-        out: dict[int, int] = {}
-        for k1, n1 in a.items():
-            for k2, n2 in b.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + n1 * n2
-        return _reduced({k: n for k, n in out.items() if n}, self.den * other.den)
-
-    def _times_term(self, e: int, p: int, r: int) -> "Laurent":
-        """self * (p/r) t^e for p != 0 and r > 0 coprime.
-
-        As gcd(den, *nums) == 1 and gcd(p, r) == 1, the product's common
-        factor is gcd(p, den) * gcd(r, *nums), so no gcd runs over the
-        product's numerators."""
-        g1 = gcd(p, self.den)
-        g2 = gcd(r, *self.nums.values()) if r != 1 else 1
-        f = p // g1
-        if g2 == 1:
-            out = {k + e: n * f for k, n in self.nums.items()}
-        else:
-            out = {k + e: n // g2 * f for k, n in self.nums.items()}
-        return _stored(out, self.den // g1 * (r // g2))
+        x, y = (self, other) if len(self.nums) >= len(other.nums) else (other, self)
+        if len(y.nums) == 1:
+            ((e, n),) = y.nums.items()
+            return _stored(*_times_term(x, e, n, y.den))
+        out = _convolution(x.nums, y.nums)
+        return _stored(*_normal({k: n for k, n in out.items() if n}, x.den * y.den))
 
     def scale(self, q) -> "Laurent":
         q = _frac(q)
         if not q or not self.nums:
             return L_ZERO
-        return self._times_term(0, q.numerator, q.denominator)
+        return _stored(*_times_term(self, 0, q.numerator, q.denominator))
 
     def shift(self, k: int) -> "Laurent":
         """Multiply by t^k."""
@@ -303,45 +323,71 @@ class Laurent:
 
 L_ZERO = Laurent()
 L_ONE = Laurent.const(1)
-# s^2 reduces to this polynomial.
-L_S_SQUARED = Laurent({0: 1, 1: -4})
 QUARTER = Fraction(1, 4)
 
+# The packed key of the monomial H1^a H2^b s^c t^e is
+# ((a * 2^31 + b) * 2^31 + e) * 4 + c, so keys add as monomials multiply and
+# k & 3 is c at any sign.  An element's `span` bounds a, b and |e| over its
+# terms (a product adds the bounds, a sum takes the larger); at 2^30 a field
+# could carry into the next, so `_element` raises there instead.
+_FIELD = 1 << 30
 
-def _element(terms: dict[tuple[int, int, int], Laurent]) -> "AlgebraElement":
-    """An AlgebraElement around terms already in normal form: valid
-    generator exponents and no zero coefficient."""
-    res = AlgebraElement.__new__(AlgebraElement)
-    res.terms = terms
+
+def _unpacked(k: int) -> tuple[int, int, int, int]:
+    """(a, b, c, e) of a packed key."""
+    r = k >> 2
+    e = ((r + _FIELD) & (2 * _FIELD - 1)) - _FIELD
+    ab = (r - e) >> 31
+    return ab >> 31, ab & (2 * _FIELD - 1), k & 3, e
+
+
+def _element(nums: dict[int, int], den: int, span: int) -> "AlgebraElement":
+    """An AlgebraElement around packed numerators and denominator already in
+    stored form, with no s^2 term and every field bounded by `span`."""
+    if span >= _FIELD:
+        raise OverflowError(f"a generator or t exponent of size {span} is past its packed field")
+    res = object.__new__(AlgebraElement)
+    res.nums, res.den, res.span = nums, den, span
     return res
 
 
-def _merge(out: dict[tuple[int, int, int], Laurent], terms: dict[tuple[int, int, int], Laurent]):
-    """Add the nonzero coefficients of `terms` into `out`, dropping zero sums."""
-    for key, coeff in terms.items():
-        if key in out:
-            coeff = out[key] + coeff
-            if coeff.is_zero():
-                del out[key]
-                continue
-        out[key] = coeff
+def _product(x: "AlgebraElement", y: "AlgebraElement") -> "AlgebraElement":
+    """x * y as one convolution of packed keys, then s^2 = 1 - 4t in one pass
+    over the keys whose c field is 2; a one-term y without s only moves keys."""
+    span = x.span + y.span
+    if len(x.nums) < len(y.nums):
+        x, y = y, x
+    if len(y.nums) == 1 and not next(iter(y.nums)) & 3:
+        ((key, n),) = y.nums.items()
+        return _element(*_times_term(x, key, n, y.den), span)
+    out = _convolution(x.nums, y.nums)
+    squares = [k for k in out if k & 3 == 2]
+    for k in squares:  # k - 2 is the same monomial without s^2, k + 2 that times t
+        n = out.pop(k)
+        out[k - 2] = out.get(k - 2, 0) + n
+        out[k + 2] = out.get(k + 2, 0) - 4 * n
+    nums, den = _normal({k: n for k, n in out.items() if n}, x.den * y.den)
+    return _element(nums, den, span + bool(squares))
 
 
 class AlgebraElement:
-    """Normal form of an element of Q[t,t^-1][H1,H2,s], s-exponent in {0,1}."""
+    """Normal form of an element of Q[t,t^-1][H1,H2,s], s-exponent in {0,1}:
+    int numerators under packed keys over one denominator, in the stored
+    form of `Laurent`.  `terms` is the read-only {(a, b, c): Laurent} view."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den", "span")
 
-    def __init__(self, terms=None):
-        clean: dict[tuple[int, int, int], Laurent] = {}
-        if terms:
-            for key, coeff in terms.items():
-                a, b, c = key
-                if a < 0 or b < 0 or c not in (0, 1):
-                    raise ValueError(f"invalid generator exponents {key}")
-                if not coeff.is_zero():
-                    clean[(a, b, c)] = coeff
-        self.terms = clean
+    def __new__(cls, terms=None):
+        res = ZERO
+        for key, coeff in (terms or {}).items():
+            a, b, c = key
+            if a < 0 or b < 0 or c not in (0, 1):
+                raise ValueError(f"invalid generator exponents {key}")
+            base = (((a << 31) + b) << 33) + c  # the packed key of H1^a H2^b s^c
+            span = max(a, b, *map(abs, coeff.nums))
+            part = _element({base + (e << 2): n for e, n in coeff.nums.items()}, coeff.den, span)
+            res = _element(*_sum(res, part), max(res.span, part.span))
+        return res
 
     # -- constructors ---------------------------------------------------
 
@@ -351,22 +397,30 @@ class AlgebraElement:
 
     @classmethod
     def from_rational(cls, q) -> "AlgebraElement":
-        return cls({(0, 0, 0): Laurent.const(q)})
+        return cls.from_laurent(Laurent.const(q))
 
     @classmethod
     def monomial(cls, a: int, b: int, c: int) -> "AlgebraElement":
         return cls({(a, b, c): L_ONE})
 
+    @property
+    def terms(self) -> dict[tuple[int, int, int], Laurent]:
+        parts: dict[tuple[int, int, int], dict[int, int]] = {}
+        for k, n in self.nums.items():
+            a, b, c, e = _unpacked(k)
+            parts.setdefault((a, b, c), {})[e] = n
+        return {key: _stored(*_normal(nums, self.den)) for key, nums in parts.items()}
+
     # -- ring structure -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other):
-        return isinstance(other, AlgebraElement) and self.terms == other.terms
+        return isinstance(other, AlgebraElement) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset((k, hash(v)) for k, v in self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     @staticmethod
     def _coerce(value):
@@ -380,18 +434,16 @@ class AlgebraElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not other.terms:
+        if not other.nums:
             return self
-        if not self.terms:
+        if not self.nums:
             return other
-        out = dict(self.terms)
-        _merge(out, other.terms)
-        return _element(out)
+        return _element(*_sum(self, other), max(self.span, other.span))
 
     __radd__ = __add__
 
     def __neg__(self) -> "AlgebraElement":
-        return _element({k: -v for k, v in self.terms.items()})
+        return _element({k: -n for k, n in self.nums.items()}, self.den, self.span)
 
     def __sub__(self, other) -> "AlgebraElement":
         other = self._coerce(other)
@@ -409,33 +461,15 @@ class AlgebraElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms or not other.terms:
+        if not self.nums or not other.nums:
             return ZERO
         if other == ONE:
             return self
         if self == ONE:
             return other
-        small, big = (self, other) if len(self.terms) < len(other.terms) else (other, self)
-        out, *rest = [big._times_monomial(key, p) for key, p in small.terms.items()]
-        for part in rest:  # `out` is a fresh dict, so the rest merge into it
-            _merge(out, part)
-        return _element(out)
+        return _product(self, other)
 
     __rmul__ = __mul__
-
-    def _times_monomial(self, key: tuple[int, int, int], p: Laurent) -> dict:
-        """The terms of self * p * H1^a H2^b s^c for any nonzero Laurent p:
-        distinct keys stay distinct and Q[t, 1/t] has no zero divisors, so
-        nothing is merged or dropped."""
-        ma, mb, mc = key
-        out = {}
-        for (a, b, c), coeff in self.terms.items():
-            coeff = coeff * p
-            if c and mc:
-                out[(a + ma, b + mb, 0)] = coeff * L_S_SQUARED  # s^2 = 1 - 4t
-            else:
-                out[(a + ma, b + mb, c + mc)] = coeff
-        return out
 
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:
@@ -444,16 +478,16 @@ class AlgebraElement:
 
     def scale(self, q) -> "AlgebraElement":
         q = _frac(q)
-        if q == 0:
+        if not q or not self.nums:
             return ZERO
-        return _element({k: v.scale(q) for k, v in self.terms.items()})
+        return _element(*_times_term(self, 0, q.numerator, q.denominator), self.span)
 
     def shift_t(self, k: int) -> "AlgebraElement":
         """Multiply by t^k (k may be negative)."""
-        return _element({key: v.shift(k) for key, v in self.terms.items()})
+        return _element({key + (k << 2): n for key, n in self.nums.items()}, self.den, self.span + abs(k))
 
     def mul_laurent(self, p: Laurent) -> "AlgebraElement":
-        return ZERO if p.is_zero() else _element(self._times_monomial((0, 0, 0), p))
+        return _product(self, AlgebraElement.from_laurent(p))
 
     def __truediv__(self, other) -> "AlgebraElement":
         """Division by a nonzero rational or a rational multiple of t^k."""
@@ -463,10 +497,9 @@ class AlgebraElement:
                 raise ZeroDivisionError("division by zero")
             return self.scale(1 / q)
         if isinstance(other, AlgebraElement):
-            if list(other.terms) == [(0, 0, 0)] and len(other.terms[(0, 0, 0)].nums) == 1:
-                p = other.terms[(0, 0, 0)]
-                ((k, n),) = p.nums.items()
-                return self.scale(Fraction(p.den, n)).shift_t(-k)
+            if list(other.terms) == [(0, 0, 0)] and len(other.nums) == 1:
+                ((key, n),) = other.nums.items()
+                return self.scale(Fraction(other.den, n)).shift_t(-(key >> 2))
             raise ValueError("division only by rational multiples of t^k")
         return NotImplemented
 
@@ -482,14 +515,10 @@ class AlgebraElement:
         over Q(t)(H1, H2), which we do not prove, so callers should read
         this as the normal-form degree.
         """
-        if not self.terms:
-            return None
-        return max(2 * a + 2 * b + c for (a, b, c) in self.terms)
+        return max((2 * a + 2 * b + c for a, b, c, _ in map(_unpacked, self.nums)), default=None)
 
     def min_t_exponent(self):
-        if not self.terms:
-            return None
-        return min(v.min_exp() for v in self.terms.values())
+        return min((_unpacked(k)[3] for k in self.nums), default=None)
 
     def substitute_sqrt_t(self) -> "AlgebraElement":
         """Rewrite in the variable u = t^2, i.e. halve every t-exponent.
@@ -498,14 +527,12 @@ class AlgebraElement:
         without half-edge, whose series live in Q[[t^2]]).
         """
         out = {}
-        for key, coeff in self.terms.items():
-            halved = {}
-            for e, n in coeff.nums.items():
-                if e % 2:
-                    raise ValueError(f"odd t-exponent {e}: no sqrt-t form")
-                halved[e // 2] = n
-            out[key] = _stored(halved, coeff.den)
-        return _element(out)
+        for key, n in self.nums.items():
+            e = _unpacked(key)[3]
+            if e % 2:
+                raise ValueError(f"odd t-exponent {e}: no sqrt-t form")
+            out[key - (e // 2 << 2)] = n
+        return _element(out, self.den, self.span)
 
     # -- evaluation -----------------------------------------------------
 
@@ -522,51 +549,48 @@ class AlgebraElement:
 
     # -- rendering -------------------------------------------------------
 
-    def _sorted_keys(self):
-        return sorted(self.terms, reverse=True)
+    def _sorted_terms(self):
+        return sorted(self.terms.items(), reverse=True)
 
     def __str__(self):
         """Canonical flat rendering, decreasing (a,b,c) then decreasing exponent."""
         parts = []
-        for key in self._sorted_keys():
-            a, b, c = key
+        for (a, b, c), coeff in self._sorted_terms():
             gens = "*".join(
                 ([f"H1^{a}"] if a > 1 else ["H1"] if a == 1 else [])
                 + ([f"H2^{b}"] if b > 1 else ["H2"] if b == 1 else [])
                 + (["s"] if c else [])
             )
-            for e, v in sorted(self.terms[key].terms.items(), reverse=True):
+            for e, v in sorted(coeff.terms.items(), reverse=True):
                 parts.append(_term(v, e, gens))
         return _joined(parts)
 
     __repr__ = __str__
 
     def pretty(self) -> str:
-        """Render as (integer-coefficient sum)/(D*t^m), e.g. `(H1 - 1)/(4*t^2)`."""
-        if not self.terms:
+        """Render as (integer-coefficient sum)/(D*t^m), e.g. `(H1 - 1)/(4*t^2)`:
+        D is the denominator, the lcm of the coefficients' denominators."""
+        if not self.nums:
             return "0"
         m = min(0, self.min_t_exponent())
-        lead = lcm(*(p.den for p in self.terms.values()))
-        num = self.scale(lead).shift_t(-m)
-        num_str = str(num)
-        if lead == 1 and m == 0:
+        num_str = str(self.scale(self.den).shift_t(-m))
+        if self.den == 1 and m == 0:
             return num_str
-        den_factors = [] if lead == 1 else [_fraction_text(lead)]
+        den_factors = [] if self.den == 1 else [_fraction_text(self.den)]
         if m:
             den_factors.append("t" if m == -1 else f"t^{-m}")
         return f"({num_str})/({'*'.join(den_factors)})"
 
     def to_json(self):
         out = []
-        for key in self._sorted_keys():
-            a, b, c = key
-            items = sorted(self.terms[key].terms.items(), reverse=True)
+        for (a, b, c), coeff in self._sorted_terms():
+            items = sorted(coeff.terms.items(), reverse=True)
             coeff = {str(e): _fraction_text(v) for e, v in items}
             out.append({"h1": a, "h2": b, "s": c, "coeff": coeff})
         return {"terms": out}
 
 
-ZERO = _element({})
+ZERO = _element({}, 1, 0)
 ONE = AlgebraElement.from_rational(1)
 H1 = AlgebraElement.monomial(1, 0, 0)
 H2 = AlgebraElement.monomial(0, 1, 0)

@@ -166,6 +166,7 @@ def base_sum(rel: str, k: int) -> AlgebraElement:
     return total
 
 
+@lru_cache(maxsize=None)
 def _enumerated(d: int, k: int, color: int) -> AlgebraElement:
     """[z^k] G(z)^d W(z) with G(z) = sum_{x>=0} S_{eq,x} z^x and W(z) =
     sum_r S(center alone, eq r) z^r: the sum over d nonnegative branch

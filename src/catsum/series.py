@@ -25,7 +25,7 @@ from .algebra import (
     Laurent,
     _fraction_text,
     _joined,
-    _reduced,
+    _normal,
     _stored,
     _term,
 )
@@ -66,7 +66,7 @@ def _truncated(poly: Laurent, order: int) -> Laurent:
     if order < 0:
         raise ValueError("order must be nonnegative")
     if poly.nums and max(poly.nums) > order:
-        poly = _reduced({k: n for k, n in poly.nums.items() if k <= order}, poly.den)
+        poly = _stored(*_normal({k: n for k, n in poly.nums.items() if k <= order}, poly.den))
     return poly
 
 
@@ -81,7 +81,7 @@ def _product(p: Laurent, q: Laurent, order: int) -> Laurent:
             if k > order:
                 break
             out[k] = out.get(k, 0) + n1 * n2
-    return _reduced({k: n for k, n in out.items() if n}, p.den * q.den)
+    return _stored(*_normal({k: n for k, n in out.items() if n}, p.den * q.den))
 
 
 def series_text(poly: Laurent) -> str:

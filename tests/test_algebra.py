@@ -216,6 +216,7 @@ def _assert_stored_form(p):
 
 
 def _as_ref(x):
+    _assert_stored_form(x)  # the flat packed form, then each coefficient of the view
     for p in x.terms.values():
         _assert_stored_form(p)
     return {k: p.terms for k, p in x.terms.items()}
@@ -358,6 +359,69 @@ def test_element_kernel_matches_fraction_reference():
     assert _as_ref(SQRT_1_4T.shift_t(-1) * SQRT_1_4T.scale(2)) == {(0, 0, 0): {-1: 2, 0: -8}}
     assert ONE * H1 is H1 and H1 * ONE is H1
     assert (ZERO * H1).is_zero() and (H1 * ZERO).is_zero()
+
+
+def test_packed_fields_raise_instead_of_wrapping():
+    """An exponent that could carry into the next field of the packed key
+    raises; nothing returns a wrapped value."""
+    top = 2**30 - 1  # the largest size each field holds
+    for make in (
+        lambda: ONE.shift_t(2**40),
+        lambda: ONE.shift_t(-(2**40)),
+        lambda: ONE.shift_t(2**30),
+        lambda: AlgebraElement({(2**30, 0, 0): Laurent.const(1)}),
+        lambda: AlgebraElement.monomial(0, 2**30, 1),
+        lambda: AlgebraElement({(0, 0, 1): Laurent.t_power(-(2**30))}),
+        lambda: H1.shift_t(2**29) * H2.shift_t(2**29),  # t^(2^30) in a product
+        lambda: SQRT_1_4T.shift_t(top) * SQRT_1_4T,  # s^2 = 1 - 4t adds one
+        lambda: AlgebraElement.monomial(2**29, 0, 0) ** 2,
+    ):
+        with pytest.raises(OverflowError):
+            make()
+    # at the largest size of every field the view reads back what went in
+    edge = {(top, 0, 0): Laurent.t_power(-top, 3), (0, top, 1): Laurent({top: Fraction(-1, 2), 0: 5})}
+    x = AlgebraElement(edge)
+    assert x.terms == edge and x.degree() == 2 * top + 1 and x.min_t_exponent() == -top
+    assert (x - x).is_zero() and SQRT_1_4T.shift_t(top - 1) * SQRT_1_4T == (ONE - ONE.shift_t(1).scale(4)).shift_t(top - 1)
+
+
+def test_terms_view_round_trip_at_large_exponents():
+    """The {(a, b, c): Laurent} view reads back every packed term, at
+    t-exponents of +-10^4 and with s, and products of such elements match the
+    Fraction reference."""
+    rng = random.Random(5)
+    for _ in range(40):
+        ref = {}
+        for _ in range(rng.randint(1, 4)):
+            key = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 1))
+            exps = [rng.choice([-(10**4), 10**4, rng.randint(-(10**4), 10**4)]) for _ in range(3)]
+            p = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for e in exps}
+            ref[key] = {e: v for e, v in p.items() if v}
+        ref = {key: p for key, p in ref.items() if p}
+        x = _element(ref)
+        assert _as_ref(x) == ref
+        assert AlgebraElement(dict(x.terms)) == x
+        y = x * SQRT_1_4T.shift_t(-(10**4)) + H2.shift_t(10**4)
+        expected = _ref_element_add(
+            _ref_element_mul(ref, {(0, 0, 1): {-(10**4): Fraction(1)}}), {(0, 1, 0): {10**4: Fraction(1)}}
+        )
+        assert _as_ref(y) == expected and AlgebraElement(dict(y.terms)) == y
+
+
+def test_equal_elements_built_by_different_routes_hash_equal():
+    one_minus_4t = Laurent({0: 1, 1: -4})
+    routes = [
+        (H1 * SQRT_1_4T) * SQRT_1_4T,
+        H1 * (SQRT_1_4T * SQRT_1_4T),
+        H1.mul_laurent(one_minus_4t),
+        H1 * AlgebraElement.from_laurent(one_minus_4t),
+        H1 - H1.shift_t(1).scale(4),
+        AlgebraElement({(1, 0, 0): one_minus_4t, (0, 2, 1): Laurent()}),
+        (H1.scale(Fraction(1, 3)) - H1.shift_t(1).scale(Fraction(4, 3))).scale(3),
+    ]
+    for x in routes:
+        assert x == routes[0] and hash(x) == hash(routes[0]), x
+        assert (x.den, x.nums) == (routes[0].den, routes[0].nums)
 
 
 def test_division():
