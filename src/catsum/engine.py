@@ -8,7 +8,10 @@ repeatedly rewriting it into combinations of strictly simpler trees:
      good: (i) no nonroot vertex carries "eq"; (ii) "le"/"ge" vertices
      have shift 0; (iii) every nonroot leaf is non-gray with decoration
      (none, 0); (iv) no two same-colored leaf siblings; (v) no leaf shares
-     its parent's color; (vi) no leaf has a gray parent.  A tree on which
+     its parent's color; (vi) no leaf has a gray parent.  (iv) and (v) take
+     one merge: the m same-colored leaves of a parent, with the parent when
+     it has their color, enter every condition only through their sum, and
+     C^m = P_m(1/t) + Q_m(1/t) C rewrites them in one step.  A tree on which
      no generic rule fires is good; goodness has no check of its own;
   3. good trees of height 1 are the two-vertex base sums;
   4. taller good trees are attacked at a height-2 fringe, which is always
@@ -42,7 +45,7 @@ from .algebra import (
     catalan_gf,
     hypergeom_hk,
 )
-from .series import catalan
+from .series import _holds, catalan
 from .trees import (
     BLACK,
     GRAY,
@@ -76,9 +79,9 @@ from .trees import (
 # sum(coeff * prod(S(tree) for tree in factors)).
 SumExpr = list[tuple[AlgebraElement, tuple[DecoratedTree, ...]]]
 
-T_INV = ONE.shift_t(-1)
 T_INV2 = ONE.shift_t(-2)
 MINUS_ONE = ONE.scale(-1)
+MINUS_T_INV2 = T_INV2.scale(-1)
 
 
 class DepthGuardExceeded(RuntimeError):
@@ -90,16 +93,6 @@ class DepthGuardExceeded(RuntimeError):
     trees end here and never in a RecursionError.  Large trees can exhaust
     the default budget: the canonically decorated path on 32 vertices needs
     more than 10^5 reduction cycles."""
-
-
-def _holds(lhs: int, rel: str, rhs: int) -> bool:
-    if rel == REL_EQ:
-        return lhs == rhs
-    if rel == REL_LE:
-        return lhs <= rhs
-    if rel == REL_GE:
-        return lhs >= rhs
-    return True
 
 
 def _partial_catalan(m: int) -> AlgebraElement:
@@ -166,6 +159,11 @@ def base_sum(rel: str, k: int) -> AlgebraElement:
     return total
 
 
+S0 = base_sum(REL_EQ, 0)
+MINUS_S0 = S0.scale(-1)
+S0_SQUARED = S0 * S0
+
+
 @lru_cache(maxsize=None)
 def _enumerated(d: int, k: int, color: int) -> AlgebraElement:
     """[z^k] G(z)^d W(z) with G(z) = sum_{x>=0} S_{eq,x} z^x and W(z) =
@@ -179,6 +177,22 @@ def _enumerated(d: int, k: int, color: int) -> AlgebraElement:
     for _ in range(d - 1):
         acc = [sum((acc[a] * g[m - a] for a in range(m + 1)), ZERO) for m in range(k + 1)]
     return sum((acc[a] * g[k - a] for a in range(k + 1)), ZERO)
+
+
+@lru_cache(maxsize=None)
+def _merge_terms(m: int) -> tuple[tuple[AlgebraElement, int, bool], ...]:
+    """The terms (c/t^j, j, keeps a variable) of C^m = P_m(1/t) + Q_m(1/t) C,
+    by t C^2 = C - 1: P_1 = 0, Q_1 = 1, P_{m+1} = -Q_m/t, Q_{m+1} = P_m + Q_m/t
+    (coefficient lists in 1/t).  Q's terms come first, each in increasing j."""
+    p, q = [0], [1]
+    for _ in range(m - 1):
+        p, q = [0] + [-c for c in q], [a + b for a, b in zip(p + [0], [0] + q)]
+    return tuple(
+        (AlgebraElement.from_laurent(Laurent.t_power(-j, c)), j, keeps)
+        for keeps, poly in ((True, q), (False, p))
+        for j, c in enumerate(poly)
+        if c
+    )
 
 
 def tridiagonal_inverse_row(n: int, r: int) -> list[Fraction]:
@@ -339,21 +353,23 @@ class Engine:
                 else:
                     smaller = with_shift(with_shift_added(tree, parents[v], deco.shift), v, 0)
                 return "push-free-shift", v, [(ONE, (smaller,))]
-        # (iv) Twin relation-free leaves merge through the Catalan convolution:
-        # the lowest leaf with a same-colored sibling leaf, and the next one.
+        # (iv) The lowest leaf with a same-colored sibling leaf merges with all
+        # of them (and with their parent when it has their color).
         first_twin: dict[tuple[int, int], int] = {}
-        best_pair = None
+        best = None
         for w in leaves:
             v = first_twin.setdefault((parents[w], decos[w].color), w)
-            if v != w and (best_pair is None or v < best_pair[0]):
-                best_pair = (v, w)
-        if best_pair is not None:
-            return "merge-twin-leaves", best_pair[0], self._twin_step(tree, *best_pair)
+            if v != w and (best is None or v < best):
+                best = v
+        if best is not None:
+            p, color = parents[best], decos[best].color
+            twins = tuple(w for w in leaves if parents[w] == p and decos[w].color == color)
+            return "merge-twin-leaves", best, self._merge_step(tree, twins)
         # (v) A relation-free leaf under a same-colored parent merges with it.
         for v in leaves:
             color = decos[v].color
             if color != GRAY and color == decos[parents[v]].color:
-                return "merge-leaf-into-parent", v, self._consecutive_step(tree, v)
+                return "merge-leaf-into-parent", v, self._merge_step(tree, (v,))
         # (vi) A relation-free leaf under a gray parent hands it its variable.
         for v in leaves:
             if decos[parents[v]].color == GRAY:
@@ -379,30 +395,21 @@ class Engine:
             (ONE if sign > 0 else MINUS_ONE, (variant(REL_EQ, r),)) for sign, r in _peel(deco.rel, k)
         ]
 
-    def _twin_step(self, tree: DecoratedTree, w1: int, w2: int) -> SumExpr:
-        """sum_{a+b=L-1} Cat_a Cat_b = Cat_L: the parent takes a +-1 shift
-        once, and from that tree the two same-colored relation-free leaves
-        become one (w1, still relation-free with shift 0), minus the tree
-        where the pair is dropped."""
-        color = tree.decos[w1].color
-        shifted = with_shift_added(tree, tree.parents[w1], 1 if color == WHITE else -1)
-        merged = with_merged_twins(shifted, w1, w2, Decoration(color, REL_NONE, 0))
-        dropped = without_leaves(shifted, (w1, w2))
-        return [(T_INV, (merged,)), (T_INV.scale(-1), (dropped,))]
-
-    def _consecutive_step(self, tree: DecoratedTree, leaf: int) -> SumExpr:
-        """Same Catalan merge for a relation-free leaf and its same-colored
-        parent; the dropped-variable term leaves a gray vertex carrying the
-        parent's condition."""
-        parent = tree.parents[leaf]
-        deco = tree.decos[parent]
-        delta = 1 if tree.decos[leaf].color == WHITE else -1
-        merged = without_leaves(with_shift_added(tree, parent, delta), (leaf,))
-        grayed = without_leaves(
-            with_decoration(tree, parent, Decoration(GRAY, deco.rel, deco.shift + delta)),
-            (leaf,),
-        )
-        return [(T_INV, (merged,)), (T_INV.scale(-1), (grayed,))]
+    def _merge_step(self, tree: DecoratedTree, twins: tuple[int, ...]) -> SumExpr:
+        """The merge of the leaves `twins` (and their parent, when it has their
+        color) by `_merge_terms`: each term moves the parent's shift by j (-j
+        for black), a Q term keeps one variable (the parent's, else twins[0])
+        and a P term none (a same-colored parent turns gray)."""
+        p, color = tree.parents[twins[0]], tree.decos[twins[0]].color
+        pd = tree.decos[p]
+        joins = pd.color == color
+        sign = 1 if color == WHITE else -1
+        expr = []
+        for coeff, j, keeps in _merge_terms(len(twins) + joins):
+            after = Decoration(GRAY if joins and not keeps else pd.color, pd.rel, pd.shift + sign * j)
+            gone = twins[1:] if keeps and not joins else twins
+            expr.append((coeff, (with_merged_twins(tree, p, after, gone),)))
+        return expr
 
     # -- long stars ------------------------------------------------------------
 
@@ -411,22 +418,18 @@ class Engine:
         deco = tree.decos[v]
         rel, k_shift = deco.rel, deco.shift
         i, j, k = pattern.i, pattern.j, pattern.k
-        s0 = base_sum(REL_EQ, 0)
 
         def graft(color: int, new_rel: str, new_shift: int, bi: int, bj: int, bk: int):
             return with_replaced_fringe(tree, v, Decoration(color, new_rel, new_shift), (bi, bj, bk))
 
         if pattern.center_color == WHITE:
             if k >= 1:
-                # Catalan merge of the center with a free branch middle.
-                return (
-                    "ustar-merge-free-branch",
-                    v,
-                    [
-                        (T_INV, (graft(GRAY, rel, k_shift + 1, i, j, k),)),
-                        (T_INV.scale(-1), (graft(BLACK, rel, k_shift + 1, i, j, k - 1),)),
-                    ],
-                )
+                # Catalan merge of the center with a free branch middle: the Q
+                # term keeps one variable, on the middle; the P term none.
+                (q, _, _), (p, _, _) = _merge_terms(2)
+                merged = graft(GRAY, rel, k_shift + 1, i, j, k)
+                dropped = graft(BLACK, rel, k_shift + 1, i, j, k - 1)
+                return "ustar-merge-free-branch", v, [(q, (merged,)), (p, (dropped,))]
             if j >= 1:
                 # Reverse one le-branch: le + ge = free + equality.
                 return (
@@ -434,7 +437,7 @@ class Engine:
                     v,
                     [
                         (ONE, (graft(WHITE, rel, k_shift, i, j - 1, 1),)),
-                        (s0, (graft(WHITE, rel, k_shift, i, j - 1, 0),)),
+                        (S0, (graft(WHITE, rel, k_shift, i, j - 1, 0),)),
                         (MINUS_ONE, (graft(WHITE, rel, k_shift, i + 1, j - 1, 0),)),
                     ],
                 )
@@ -448,8 +451,8 @@ class Engine:
                 [
                     (T_INV2, (graft(GRAY, rel, k_shift, i, j, k - 1),)),
                     (T_INV2, (graft(GRAY, rel, k_shift, i, j, k - 2),)),
-                    (T_INV2.scale(-1), (graft(WHITE, rel, k_shift, i, j, k - 2),)),
-                    (T_INV2.scale(-1), (graft(BLACK, rel, k_shift, i, j, k - 2),)),
+                    (MINUS_T_INV2, (graft(WHITE, rel, k_shift, i, j, k - 2),)),
+                    (MINUS_T_INV2, (graft(BLACK, rel, k_shift, i, j, k - 2),)),
                 ],
             )
         if k == 1:
@@ -459,7 +462,7 @@ class Engine:
                 [
                     (ONE, (graft(GRAY, rel, k_shift, i + 1, j, 0),)),
                     (ONE, (graft(GRAY, rel, k_shift, i, j + 1, 0),)),
-                    (s0.scale(-1), (graft(GRAY, rel, k_shift, i, j, 0),)),
+                    (MINUS_S0, (graft(GRAY, rel, k_shift, i, j, 0),)),
                 ],
             )
         if i > 0 and j > 0:
@@ -469,13 +472,12 @@ class Engine:
             # V_{d,0,0}: this star is row i of its inverse applied to them.
             d = i + j
             row = tridiagonal_inverse_row(d - 1, i - 1)
-            s0_sq = s0 * s0
             expr = []
             for r, entry in enumerate(row, 1):
                 expr += [
                     (ONE.scale(entry), (graft(GRAY, rel, k_shift, r - 1, d - 1 - r, 2),)),
-                    (s0.scale(2 * entry), (graft(GRAY, rel, k_shift, r - 1, d - 1 - r, 1),)),
-                    (s0_sq.scale(entry), (graft(GRAY, rel, k_shift, r - 1, d - 1 - r, 0),)),
+                    (S0.scale(2 * entry), (graft(GRAY, rel, k_shift, r - 1, d - 1 - r, 1),)),
+                    (S0_SQUARED.scale(entry), (graft(GRAY, rel, k_shift, r - 1, d - 1 - r, 0),)),
                 ]
             expr.append((ONE.scale(-row[0]), (graft(GRAY, rel, k_shift, 0, d, 0),)))
             expr.append((ONE.scale(-row[d - 2]), (graft(GRAY, rel, k_shift, d, 0, 0),)))

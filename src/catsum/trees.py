@@ -491,13 +491,11 @@ def with_branch_colors_swapped(tree: DecoratedTree, pairs) -> DecoratedTree:
     return DecoratedTree(tree.parents, tuple(decos))
 
 
-def with_merged_twins(
-    tree: DecoratedTree, w1: int, w2: int, merged_deco: Decoration
-) -> DecoratedTree:
-    """Replace the twin leaves w1, w2 by a single leaf with the given decoration."""
+def with_merged_twins(tree: DecoratedTree, parent: int, deco: Decoration, leaves) -> DecoratedTree:
+    """The parent takes `deco` and the given leaves under it go."""
     decos = list(tree.decos)
-    decos[w1] = merged_deco
-    return _dropped(tree, ((tree.parents[w1], w2),), decos)
+    decos[parent] = deco
+    return _dropped(tree, [(parent, v) for v in leaves], decos)
 
 
 def with_replaced_fringe(

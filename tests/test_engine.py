@@ -10,11 +10,20 @@ from catsum.algebra import H1, H2, ONE, ZERO, AlgebraElement, Laurent, PiPoly, c
 from catsum.engine import (
     DepthGuardExceeded,
     Engine,
+    _merge_terms,
     base_sum,
     height_zero_sum,
     tridiagonal_inverse_row,
 )
-from catsum.series import brute_force_decorated, catalan, series_expand
+from catsum.series import (
+    _product,
+    _truncated,
+    brute_force_decorated,
+    catalan,
+    catalan_power_coeff,
+    generator_series,
+    series_expand,
+)
 from catsum.table_data import TABLE
 from catsum.trees import (
     BLACK,
@@ -37,6 +46,7 @@ from conftest import (
     dense,
     long_star_tree,
     random_decorated_tree,
+    series_of,
     sumexpr_series,
     two_vertex,
 )
@@ -176,24 +186,25 @@ def test_step_leaf_rules():
 
 
 def test_step_twin_merge():
-    tree = DecoratedTree(
-        (-1, 0, 0),
-        (
-            Decoration(WHITE, REL_EQ, 0),
-            Decoration(WHITE, REL_NONE, 0),
-            Decoration(WHITE, REL_NONE, 0),
-        ),
-    )
+    white = Decoration(WHITE, REL_NONE, 0)
+    tree = DecoratedTree((-1, 0, 0), (Decoration(BLACK, REL_EQ, 0), white, white))
     rule, _, expr = Engine().step(tree)
     assert rule == "merge-twin-leaves"
     (c1, (merged,)), (c2, (dropped,)) = expr
     assert c1 == ONE.shift_t(-1) and c2 == ONE.shift_t(-1).scale(-1)
     # The parent takes the +1 once; the merged leaf keeps (none, 0).
-    assert len(merged) == 2 and merged.decos == (
-        Decoration(WHITE, REL_EQ, 1),
-        Decoration(WHITE, REL_NONE, 0),
-    )
-    assert len(dropped) == 1 and dropped.decos[0] == Decoration(WHITE, REL_EQ, 1)
+    assert len(merged) == 2 and merged.decos == (Decoration(BLACK, REL_EQ, 1), white)
+    assert len(dropped) == 1 and dropped.decos[0] == Decoration(BLACK, REL_EQ, 1)
+    # A parent of the twins' color joins them: C^3 = -1/t^2 + (-1/t + 1/t^2) C,
+    # so the Q terms keep the parent's variable and the P term turns it gray.
+    tree = DecoratedTree((-1, 0, 0), (Decoration(WHITE, REL_EQ, 0), white, white))
+    rule, _, expr = Engine().step(tree)
+    assert rule == "merge-twin-leaves"
+    assert expr == [
+        (ONE.shift_t(-1).scale(-1), (DecoratedTree((-1,), (Decoration(WHITE, REL_EQ, 1),)),)),
+        (ONE.shift_t(-2), (DecoratedTree((-1,), (Decoration(WHITE, REL_EQ, 2),)),)),
+        (ONE.shift_t(-2).scale(-1), (DecoratedTree((-1,), (Decoration(GRAY, REL_EQ, 2),)),)),
+    ]
     # Two twin pairs: the merge takes the lowest leaf that has a twin, here
     # 1 (twin 5), although the pair 3, 4 is complete first in index order.
     black, white = Decoration(BLACK, REL_NONE, 0), Decoration(WHITE, REL_NONE, 0)
@@ -204,6 +215,34 @@ def test_step_twin_merge():
     assert (rule, site) == ("merge-twin-leaves", 1)
     assert merged.parents == (-1, 0, 0, 2, 2)
     assert merged.decos[:2] == (Decoration(WHITE, REL_EQ, -1), black)
+
+
+def test_merge_terms_are_the_catalan_powers():
+    """P_m(1/t) + Q_m(1/t) C, from the terms (c/t^j, j, keeps) of
+    `_merge_terms(m)`, equals C^m through t^30: its coefficients are the
+    ballot numbers.  Q's terms (keeps) come first, each part in increasing j."""
+    c = generator_series("C", 42)  # Q_m has powers down to t^(1 - m)
+    for m in range(1, 13):
+        terms = _merge_terms(m)
+        flags = [keeps for _, _, keeps in terms]
+        assert flags == sorted(flags, reverse=True)
+        for part in (True, False):
+            js = [j for _, j, keeps in terms if keeps == part]
+            assert js == sorted(set(js))
+        p, q = Laurent(), Laurent()
+        for coeff, j, keeps in terms:
+            ((key, poly),) = coeff.terms.items()
+            assert key == (0, 0, 0) and list(poly.terms) == [-j]
+            if keeps:
+                q = q + poly
+            else:
+                p = p + poly
+        power = series_of([catalan_power_coeff(m, n) for n in range(31)])
+        assert _truncated(p + _product(q, c, 30), 30) == power, m
+    assert _merge_terms(2) == (
+        (ONE.shift_t(-1), 1, True),
+        (ONE.shift_t(-1).scale(-1), 1, False),
+    )
 
 
 def test_step_no_rule():
@@ -271,6 +310,26 @@ def test_generic_rules_locally_sound():
             ),
         ),
     ]
+    # groups of 3-5 same-colored leaves merge in one rewrite, at a root with
+    # a nonzero shift and below it, under a parent of the other color, a gray
+    # parent and a parent of their color (which joins the group)
+    for m, rel, k in ((3, REL_LE, -1), (4, REL_GE, 2), (5, REL_NONE, 1)):
+        for color in (WHITE, BLACK):
+            leaf = Decoration(color, REL_NONE, 0)
+            for parent_color in (WHITE if color == BLACK else BLACK, GRAY, color):
+                crafted.append(
+                    DecoratedTree(
+                        (-1,) + (0,) * m, (Decoration(parent_color, REL_EQ, k),) + (leaf,) * m
+                    )
+                )
+                crafted.append(
+                    DecoratedTree(
+                        (-1, 0) + (1,) * m + (0,),
+                        (Decoration(WHITE, REL_EQ, -k), Decoration(parent_color, rel, 0))
+                        + (leaf,) * m
+                        + (Decoration(BLACK, REL_NONE, 0),),
+                    )
+                )
     # inequality shifts up to +-5 peel to zero in one rewrite, at the root
     # and below it (where the parent compensates every changed shift)
     for color in (WHITE, BLACK, GRAY):

@@ -17,7 +17,7 @@ from catsum.stars import (
     star_recurrence_residual,
     star_term,
 )
-from catsum.trees import canonical_decorate
+from catsum.trees import canonical_decorate, reroot
 
 from conftest import star_eval_crosscheck_bc
 
@@ -44,6 +44,17 @@ def test_star_engine_agreement():
     for s in range(9):
         direct = engine.reduce(canonical_decorate(star_plain(s))).eval_quarter()
         assert direct == star_eval(s), s
+
+
+def test_wide_stars_match_the_closed_form():
+    """Stars up to 100 leaves, rooted at the centre and at a leaf (the value
+    at 1/4 does not depend on the root), equal A_s.  At the centre each twin
+    group merges in one rewrite, so 250 cycles reduce the 100-leaf star."""
+    for s in (3, 7, 20, 100):
+        for root in (0, 1):
+            tree = canonical_decorate(reroot(star_plain(s), root))
+            assert Engine().reduce(tree).eval_quarter() == star_eval(s), (s, root)
+    Engine(max_cycles=250).reduce(canonical_decorate(star_plain(100)))
 
 
 def test_recurrence_residuals():

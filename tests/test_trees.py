@@ -570,9 +570,10 @@ def _ref_edit(name, tree, *args) -> DecoratedTree:
         nodes[v].kids.append(middle)
         nodes[v].deco = Decoration(GRAY, d.rel, d.shift)
     elif name == "with_merged_twins":
-        w1, w2, merged = args
-        nodes[tree.parents[w1]].kids.remove(nodes[w2])
-        nodes[w1].deco = merged
+        parent, deco, leaves = args
+        for leaf in leaves:
+            nodes[parent].kids.remove(nodes[leaf])
+        nodes[parent].deco = deco
     elif name == "with_replaced_fringe":
         v, center, branches = args
         nodes[v].deco = center
@@ -616,8 +617,9 @@ def _edit_sites(tree: DecoratedTree):
         for v in range(1, n)
         if tree.decos[tree.parents[v]].color != GRAY
     )
-    merged = Decoration(WHITE, REL_NONE, 1)
-    yield from (("with_merged_twins", a, b, merged) for a, b in twins)
+    merged = Decoration(GRAY, REL_LE, 1)
+    yield from (("with_merged_twins", tree.parents[v], merged, (v,)) for v in leaves)
+    yield from (("with_merged_twins", tree.parents[a], merged, (a, b)) for a, b in twins)
     center = Decoration(GRAY, REL_LE, -1)
     for v in range(n):
         for branches in ((0, 0, 0), (1, 0, 2), (2, 3, 1)):
@@ -699,9 +701,8 @@ def test_oracle_reads_any_layout():
 
 def test_drop_edits_reject_a_child_not_under_its_parent():
     tree = canonical_decorate(parse_plain("((()())(()())())"))  # leaves 2, 3, 5, 6, 7
-    merged = Decoration(WHITE, REL_NONE, 1)
     with pytest.raises(ValueError):
-        with_merged_twins(tree, 2, 5, merged)  # 5 is a cousin of 2
+        with_merged_twins(tree, 1, tree.decos[1], (2, 5))  # 5 is a cousin of 2
     with pytest.raises(ValueError):
         with_absorbed_leaf(tree, 1, 5)  # 5 hangs under 4
     with pytest.raises(ValueError, match="vertex 1 is not a leaf"):
