@@ -15,7 +15,11 @@ repeatedly rewriting it into combinations of strictly simpler trees:
      no generic rule fires is good; goodness has no check of its own;
   3. good trees of height 1 are the two-vertex base sums;
   4. taller good trees are attacked at a height-2 fringe, which is always
-     a long star; the star relations, a tridiagonal linear system (one
+     a long star: once the white vertex of each two-vertex branch is put
+     on top, `classify_fringe` reads it as three branch counts i, j, k (by
+     the middles' relation ge, le, none) and at most one leaf under a white
+     or black center, and the center's own decoration gives its color and
+     condition.  The star relations, a tridiagonal linear system (one
      rewrite into its right-hand-side stars) and, for equality-decorated
      roots, a finite enumeration (the one coefficient it needs, read after
      truncated convolutions) finish the job.
@@ -52,7 +56,6 @@ from .trees import (
     WHITE,
     Decoration,
     DecoratedTree,
-    LongStarPattern,
     REL_EQ,
     REL_GE,
     REL_LE,
@@ -288,7 +291,10 @@ class Engine:
             deco = tree.decos[0]
             return "two-vertex-base", 0, [(base_sum(deco.rel, deco.shift), ())]
         v = tree.fringe_heights.index(2)
-        tree = self._normalize_branches(tree, v)
+        # Put the white vertex on top of every two-vertex branch under v.
+        kids = tree.children
+        pairs = [(c, kids[c][0]) for c in kids[v] if kids[c] and tree.decos[c].color == BLACK]
+        tree = with_branch_colors_swapped(tree, pairs) if pairs else tree
         deco = tree.decos[v]
         if deco.rel == REL_NONE:
             if v == 0:
@@ -296,21 +302,13 @@ class Engine:
                 parts = tuple(subtree_at(tree, c) for c in tree.children[0])
                 return "factor-free-root", 0, [(gen, parts)]
             return "dissolve-free-center", v, [(ONE, (with_children_reattached(tree, v),))]
-        pattern = classify_fringe(tree, v)
-        if pattern.center_color == BLACK:
+        i, j, k, extra_leaf = classify_fringe(tree, v)
+        if deco.color == BLACK:
             return "swap-colors", v, [(ONE, (swap_colors(tree),))]
-        if pattern.extra_leaf is not None:
-            pulled = with_pulled_down_variable(tree, v, pattern.extra_leaf)
+        if extra_leaf is not None:
+            pulled = with_pulled_down_variable(tree, v, extra_leaf)
             return "pull-down-center-variable", v, [(ONE, (pulled,))]
-        return self._long_star_step(tree, v, pattern)
-
-    # -- driver --------------------------------------------------------------
-
-    def _normalize_branches(self, tree: DecoratedTree, v: int) -> DecoratedTree:
-        """Put the white vertex on top of every two-vertex branch under v."""
-        kids = tree.children
-        pairs = [(c, kids[c][0]) for c in kids[v] if kids[c] and tree.decos[c].color == BLACK]
-        return with_branch_colors_swapped(tree, pairs) if pairs else tree
+        return self._long_star_step(tree, v, i, j, k)
 
     # -- generic rewrites, in driver priority order ---------------------------
 
@@ -413,16 +411,14 @@ class Engine:
 
     # -- long stars ------------------------------------------------------------
 
-    def _long_star_step(self, tree: DecoratedTree, v: int, pattern: LongStarPattern):
-        assert pattern.center_color in (WHITE, GRAY) and pattern.extra_leaf is None
+    def _long_star_step(self, tree: DecoratedTree, v: int, i: int, j: int, k: int):
         deco = tree.decos[v]
         rel, k_shift = deco.rel, deco.shift
-        i, j, k = pattern.i, pattern.j, pattern.k
 
         def graft(color: int, new_rel: str, new_shift: int, bi: int, bj: int, bk: int):
             return with_replaced_fringe(tree, v, Decoration(color, new_rel, new_shift), (bi, bj, bk))
 
-        if pattern.center_color == WHITE:
+        if deco.color == WHITE:
             if k >= 1:
                 # Catalan merge of the center with a free branch middle: the Q
                 # term keeps one variable, on the middle; the P term none.

@@ -386,19 +386,23 @@ def _rebuild(kids, decos, root: int = 0) -> DecoratedTree:
     return DecoratedTree(tuple(parents), tuple([decos[v] for v in order]))
 
 
-def _without(kids, v: int) -> list[int]:
-    """A copy of the child list `kids` without v; ValueError if v is absent."""
-    out = list(kids)
-    out.remove(v)
+def _without(kids, gone) -> list[int]:
+    """A copy of the child list `kids` without the vertices `gone`, in one
+    pass; ValueError if one of them is absent or named twice."""
+    drop = set(gone)
+    out = [c for c in kids if c not in drop]
+    if len(out) + len(gone) != len(kids):
+        raise ValueError(f"{list(gone)} are not distinct vertices of the child list")
     return out
 
 
-def _dropped(tree: DecoratedTree, pairs, decos) -> DecoratedTree:
-    """`tree` without the subtree of each child in the (parent, child) pairs,
-    with decorations `decos`; ValueError if a child is not under its parent."""
+def _dropped(tree: DecoratedTree, gone: dict, decos) -> DecoratedTree:
+    """`tree` without the subtrees of the children that `gone` lists under
+    each parent, with decorations `decos`; ValueError if a child is not under
+    its parent.  Each parent's child list is filtered once."""
     kids = list(tree.children)
-    for p, v in pairs:
-        kids[p] = _without(kids[p], v)
+    for p, vs in gone.items():
+        kids[p] = _without(kids[p], vs)
     return _rebuild(kids, decos)
 
 
@@ -431,15 +435,17 @@ def without_subtree(tree: DecoratedTree, v: int) -> DecoratedTree:
     """Remove v together with all its descendants (v must not be the root)."""
     if v == 0:
         raise ValueError("cannot remove the root subtree")
-    return _dropped(tree, ((tree.parents[v], v),), tree.decos)
+    return _dropped(tree, {tree.parents[v]: (v,)}, tree.decos)
 
 
 def without_leaves(tree: DecoratedTree, leaves: tuple[int, ...]) -> DecoratedTree:
     """Remove the given leaves of `tree`."""
+    gone: dict[int, list[int]] = {}
     for v in leaves:
         if tree.children[v]:
             raise ValueError(f"vertex {v} is not a leaf")
-    return _dropped(tree, [(tree.parents[v], v) for v in leaves], tree.decos)
+        gone.setdefault(tree.parents[v], []).append(v)
+    return _dropped(tree, gone, tree.decos)
 
 
 def with_children_reattached(tree: DecoratedTree, v: int) -> DecoratedTree:
@@ -461,7 +467,7 @@ def with_absorbed_leaf(tree: DecoratedTree, parent: int, leaf: int) -> Decorated
     pd = tree.decos[parent]
     decos = list(tree.decos)
     decos[parent] = Decoration(tree.decos[leaf].color, pd.rel, pd.shift)
-    return _dropped(tree, ((parent, leaf),), decos)
+    return _dropped(tree, {parent: (leaf,)}, decos)
 
 
 def with_pulled_down_variable(tree: DecoratedTree, v: int, leaf: int) -> DecoratedTree:
@@ -473,7 +479,7 @@ def with_pulled_down_variable(tree: DecoratedTree, v: int, leaf: int) -> Decorat
     kids = list(tree.children)
     decos = list(tree.decos)
     middle = len(decos)
-    kids[v] = _without(kids[v], leaf) + [middle]
+    kids[v] = _without(kids[v], (leaf,)) + [middle]
     kids.append((leaf,))
     decos.append(Decoration(d.color, REL_NONE, 0))
     decos[v] = Decoration(GRAY, d.rel, d.shift)
@@ -495,7 +501,7 @@ def with_merged_twins(tree: DecoratedTree, parent: int, deco: Decoration, leaves
     """The parent takes `deco` and the given leaves under it go."""
     decos = list(tree.decos)
     decos[parent] = deco
-    return _dropped(tree, [(parent, v) for v in leaves], decos)
+    return _dropped(tree, {parent: leaves}, decos)
 
 
 def with_replaced_fringe(
@@ -527,24 +533,10 @@ def with_replaced_fringe(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LongStarPattern:
-    """A height-2 fringe recognized as a long star.
-
-    i, j, k count the branches whose middle carries (ge,0), (le,0) and
-    (none,0); extra_leaf records a single leaf hanging directly off the
-    center (possible only for white or black centers).
-    """
-
-    center_color: int
-    i: int
-    j: int
-    k: int
-    extra_leaf: int | None
-
-
-def classify_fringe(tree: DecoratedTree, v: int) -> LongStarPattern:
-    """Identify the height-2 fringe at v as a long-star pattern.  `tree`
+def classify_fringe(tree: DecoratedTree, v: int) -> tuple[int, int, int, int | None]:
+    """The height-2 fringe at v as a long star (i, j, k, extra_leaf): the
+    counts of branch middles carrying (ge,0), (le,0) and (none,0), and the
+    one leaf directly under a white or black center, else None.  `tree`
     must be one on which no generic rule of `Engine` applies (a good tree),
     and v must have fringe height 2; only the fringe's O(deg v) shape is
     checked.  Branch middles are counted by their relation, which the local
@@ -567,13 +559,7 @@ def classify_fringe(tree: DecoratedTree, v: int) -> LongStarPattern:
         counts[d.rel] += 1
     if extra_leaf is not None and tree.decos[v].color == GRAY:
         raise PatternMismatchError("gray center with a direct leaf child")
-    return LongStarPattern(
-        tree.decos[v].color,
-        counts[REL_GE],
-        counts[REL_LE],
-        counts[REL_NONE],
-        extra_leaf,
-    )
+    return counts[REL_GE], counts[REL_LE], counts[REL_NONE], extra_leaf
 
 
 # ---------------------------------------------------------------------------

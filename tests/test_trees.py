@@ -36,6 +36,7 @@ from catsum.trees import (
     subtree_at,
     swap_colors,
     with_absorbed_leaf,
+    with_branch_colors_swapped,
     with_children_reattached,
     with_merged_twins,
     with_pulled_down_variable,
@@ -198,20 +199,21 @@ def test_classify_fringe():
             for d in star.decos
         ),
     )
-    pattern = classify_fringe(free, 0)
-    assert (pattern.center_color, pattern.extra_leaf) == (GRAY, None)
-    assert (pattern.i, pattern.j, pattern.k) == (0, 0, 3)
+    assert classify_fringe(free, 0) == (0, 0, 3, None)
 
     mixed = long_star_tree(1, 2, 1, REL_GE, 0, center_color=WHITE)
-    pattern = classify_fringe(mixed, 0)
-    assert (pattern.center_color, pattern.extra_leaf) == (WHITE, None)
-    assert (pattern.i, pattern.j, pattern.k) == (1, 2, 1)
+    assert classify_fringe(mixed, 0) == (1, 2, 1, None)
+    # the local color swap of every branch leaves the counts alone
+    kids = mixed.children
+    swapped = with_branch_colors_swapped(mixed, [(c, kids[c][0]) for c in kids[0]])
+    assert swapped != mixed and classify_fringe(swapped, 0) == (1, 2, 1, None)
+    # a black center: the global swap flips every middle, exchanging i and j
+    assert classify_fringe(swap_colors(mixed), 0) == (2, 1, 1, None)
 
     with_leaf = DecoratedTree(
         mixed.parents + (0,), mixed.decos + (Decoration(BLACK, REL_NONE, 0),)
     )
-    pattern = classify_fringe(with_leaf, 0)
-    assert (pattern.center_color, pattern.extra_leaf) == (WHITE, len(with_leaf) - 1)
+    assert classify_fringe(with_leaf, 0) == (1, 2, 1, len(with_leaf) - 1)
 
     deep = DecoratedTree(
         (-1, 0, 1, 2),
