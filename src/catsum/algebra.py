@@ -40,11 +40,12 @@ package, and one term renderer (`_term`, `_joined`) prints `Laurent`,
 `AlgebraElement` and truncated series alike, writing every rational
 through `_fraction_text`, exact at any size and subquadratic in it.
 `_stored`, `_element` and `_pipoly` wrap values already in normal form
-without normalising them again, as `_coprime` wraps a
-Fraction already in lowest terms, one square-and-multiply (`_power`)
-serves every `**`, and decimals bound pi by Machin's formula on integers
-to as many places as they need.  No floating point is used
-anywhere in this module, which needs only the standard library.
+without normalising them again, as `_coprime` wraps a Fraction already in
+lowest terms.  Each operation has one path: `**` and `/` (by a rational
+multiple of t^k) are defined on `AlgebraElement` alone, and a `PiPoly`
+adds, subtracts, multiplies and scales.  Decimals bound pi by Machin's
+formula on integers to as many places as they need.  No floating point is
+used anywhere in this module, which needs only the standard library.
 
 All values are immutable once constructed and every operation is pure, so
 elements can be shared freely between threads.
@@ -197,24 +198,8 @@ def _times_term(x, key: int, p: int, r: int) -> tuple[dict[int, int], int]:
     g1 = gcd(p, x.den)
     g2 = gcd(r, *x.nums.values()) if r != 1 else 1
     f = p // g1
-    if g2 == 1:
-        out = {k + key: n * f for k, n in x.nums.items()}
-    else:
-        out = {k + key: n // g2 * f for k, n in x.nums.items()}
+    out = {k + key: n // g2 * f for k, n in x.nums.items()}
     return out, x.den // g1 * (r // g2)
-
-
-def _power(base, n: int, one):
-    """base**n for n >= 0 by square-and-multiply from the identity `one`,
-    skipping the squaring after the last bit."""
-    result = one
-    while True:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if not n:
-            return result
-        base = base * base
 
 
 class Laurent:
@@ -278,12 +263,8 @@ class Laurent:
         return self + (-other)
 
     def __mul__(self, other: "Laurent") -> "Laurent":
-        x, y = (self, other) if len(self.nums) >= len(other.nums) else (other, self)
-        if len(y.nums) == 1:
-            ((e, n),) = y.nums.items()
-            return _stored(*_times_term(x, e, n, y.den))
-        out = _convolution(x.nums, y.nums)
-        return _stored(*_normal({k: n for k, n in out.items() if n}, x.den * y.den))
+        out = _convolution(self.nums, other.nums)
+        return _stored(*_normal({k: n for k, n in out.items() if n}, self.den * other.den))
 
     def scale(self, q) -> "Laurent":
         q = _frac(q)
@@ -472,9 +453,18 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "AlgebraElement":
+        """self**n for n >= 0 by square-and-multiply, skipping the squaring
+        after the last bit."""
         if n < 0:
             raise ValueError("negative powers are not defined in the algebra")
-        return _power(self, n, ONE)
+        result, base = ONE, self
+        while True:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
 
     def scale(self, q) -> "AlgebraElement":
         q = _frac(q)
@@ -490,12 +480,7 @@ class AlgebraElement:
         return _product(self, AlgebraElement.from_laurent(p))
 
     def __truediv__(self, other) -> "AlgebraElement":
-        """Division by a nonzero rational or a rational multiple of t^k."""
-        if isinstance(other, (int, Fraction)):
-            q = _frac(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            return self.scale(1 / q)
+        """Division by a nonzero rational multiple of t^k."""
         if isinstance(other, AlgebraElement):
             if list(other.terms) == [(0, 0, 0)] and len(other.nums) == 1:
                 ((key, n),) = other.nums.items()
@@ -705,9 +690,6 @@ class PiPoly:
     def __add__(self, other: "PiPoly") -> "PiPoly":
         return _pipoly(self.poly + other.poly)
 
-    def __neg__(self) -> "PiPoly":
-        return _pipoly(-self.poly)
-
     def __sub__(self, other: "PiPoly") -> "PiPoly":
         return _pipoly(self.poly - other.poly)
 
@@ -716,11 +698,6 @@ class PiPoly:
 
     def scale(self, q) -> "PiPoly":
         return _pipoly(self.poly.scale(q))
-
-    def __pow__(self, n: int) -> "PiPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined in the algebra")
-        return _power(self, n, PiPoly.const(1))
 
     def __str__(self):
         """Canonical ascending rendering: c0 + c1*pi^-1 + c2*pi^-2 + ..."""

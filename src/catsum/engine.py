@@ -235,10 +235,11 @@ class Engine:
     def reduce(self, tree: DecoratedTree) -> AlgebraElement:
         memo = self.memo
         limit = self.cycles + self.max_cycles
-        # The trees on the reduction stack, by canonical key.  Cycle detection
-        # compares exact indexed trees: a color-symmetric tree shares its
-        # canonical key with its own color swap, which the driver may
-        # legitimately visit while the original is on the stack.
+        # The trees on the reduction stack, by canonical key; a key leaves
+        # with its last tree, so the dict holds no more than the stack.
+        # Cycle detection compares exact indexed trees: a color-symmetric
+        # tree shares its canonical key with its own color swap, which the
+        # driver may legitimately visit while the original is on the stack.
         on_stack: dict[bytes, list[DecoratedTree]] = {}
         # One frame per tree being rewritten: its key, its SumExpr, the factors
         # still to reduce (last first) and the values of those already
@@ -276,6 +277,8 @@ class Engine:
                     term = term * next(reduced)
                 total = total + term
             on_stack[key].pop()
+            if not on_stack[key]:
+                del on_stack[key]
             memo[key] = total
             frames[-1][3].append(total)
 
@@ -415,16 +418,16 @@ class Engine:
         deco = tree.decos[v]
         rel, k_shift = deco.rel, deco.shift
 
-        def graft(color: int, new_rel: str, new_shift: int, bi: int, bj: int, bk: int):
-            return with_replaced_fringe(tree, v, Decoration(color, new_rel, new_shift), (bi, bj, bk))
+        def graft(color: int, new_shift: int, bi: int, bj: int, bk: int):
+            return with_replaced_fringe(tree, v, Decoration(color, rel, new_shift), (bi, bj, bk))
 
         if deco.color == WHITE:
             if k >= 1:
                 # Catalan merge of the center with a free branch middle: the Q
                 # term keeps one variable, on the middle; the P term none.
                 (q, _, _), (p, _, _) = _merge_terms(2)
-                merged = graft(GRAY, rel, k_shift + 1, i, j, k)
-                dropped = graft(BLACK, rel, k_shift + 1, i, j, k - 1)
+                merged = graft(GRAY, k_shift + 1, i, j, k)
+                dropped = graft(BLACK, k_shift + 1, i, j, k - 1)
                 return "ustar-merge-free-branch", v, [(q, (merged,)), (p, (dropped,))]
             if j >= 1:
                 # Reverse one le-branch: le + ge = free + equality.
@@ -432,9 +435,9 @@ class Engine:
                     "ustar-reverse-branch",
                     v,
                     [
-                        (ONE, (graft(WHITE, rel, k_shift, i, j - 1, 1),)),
-                        (S0, (graft(WHITE, rel, k_shift, i, j - 1, 0),)),
-                        (MINUS_ONE, (graft(WHITE, rel, k_shift, i + 1, j - 1, 0),)),
+                        (ONE, (graft(WHITE, k_shift, i, j - 1, 1),)),
+                        (S0, (graft(WHITE, k_shift, i, j - 1, 0),)),
+                        (MINUS_ONE, (graft(WHITE, k_shift, i + 1, j - 1, 0),)),
                     ],
                 )
             return self._one_sided_star_step(tree, v, i, lowered=False)
@@ -445,10 +448,10 @@ class Engine:
                 "vstar-double-merge",
                 v,
                 [
-                    (T_INV2, (graft(GRAY, rel, k_shift, i, j, k - 1),)),
-                    (T_INV2, (graft(GRAY, rel, k_shift, i, j, k - 2),)),
-                    (MINUS_T_INV2, (graft(WHITE, rel, k_shift, i, j, k - 2),)),
-                    (MINUS_T_INV2, (graft(BLACK, rel, k_shift, i, j, k - 2),)),
+                    (T_INV2, (graft(GRAY, k_shift, i, j, k - 1),)),
+                    (T_INV2, (graft(GRAY, k_shift, i, j, k - 2),)),
+                    (MINUS_T_INV2, (graft(WHITE, k_shift, i, j, k - 2),)),
+                    (MINUS_T_INV2, (graft(BLACK, k_shift, i, j, k - 2),)),
                 ],
             )
         if k == 1:
@@ -456,9 +459,9 @@ class Engine:
                 "vstar-reverse-free-branch",
                 v,
                 [
-                    (ONE, (graft(GRAY, rel, k_shift, i + 1, j, 0),)),
-                    (ONE, (graft(GRAY, rel, k_shift, i, j + 1, 0),)),
-                    (MINUS_S0, (graft(GRAY, rel, k_shift, i, j, 0),)),
+                    (ONE, (graft(GRAY, k_shift, i + 1, j, 0),)),
+                    (ONE, (graft(GRAY, k_shift, i, j + 1, 0),)),
+                    (MINUS_S0, (graft(GRAY, k_shift, i, j, 0),)),
                 ],
             )
         if i > 0 and j > 0:
@@ -471,12 +474,12 @@ class Engine:
             expr = []
             for r, entry in enumerate(row, 1):
                 expr += [
-                    (ONE.scale(entry), (graft(GRAY, rel, k_shift, r - 1, d - 1 - r, 2),)),
-                    (S0.scale(2 * entry), (graft(GRAY, rel, k_shift, r - 1, d - 1 - r, 1),)),
-                    (S0_SQUARED.scale(entry), (graft(GRAY, rel, k_shift, r - 1, d - 1 - r, 0),)),
+                    (ONE.scale(entry), (graft(GRAY, k_shift, r - 1, d - 1 - r, 2),)),
+                    (S0.scale(2 * entry), (graft(GRAY, k_shift, r - 1, d - 1 - r, 1),)),
+                    (S0_SQUARED.scale(entry), (graft(GRAY, k_shift, r - 1, d - 1 - r, 0),)),
                 ]
-            expr.append((ONE.scale(-row[0]), (graft(GRAY, rel, k_shift, 0, d, 0),)))
-            expr.append((ONE.scale(-row[d - 2]), (graft(GRAY, rel, k_shift, d, 0, 0),)))
+            expr.append((ONE.scale(-row[0]), (graft(GRAY, k_shift, 0, d, 0),)))
+            expr.append((ONE.scale(-row[d - 2]), (graft(GRAY, k_shift, d, 0, 0),)))
             return "vstar-linear-system", v, expr
         return self._one_sided_star_step(tree, v, i + j, lowered=j > 0)
 

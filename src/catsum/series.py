@@ -10,7 +10,8 @@ the Catalan series C have explicit coefficient formulas) and computes tree
 sums directly from their defining summation over the vertex variables, the
 independent ground truth everything else is checked against: a tree DP over
 the vertices in reverse index order, so children before parents,
-O(n * N^4) on n vertices at order N, that shares no code with the engine.
+O(n * N^4) on n vertices at order N.  It shares with the engine only the
+relation predicate `_holds`, which `engine.height_zero_sum` also reads.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def brute_force_decorated(tree: DecoratedTree, order: int, budget: int = DEFAULT
     budget unit per pair of entries merged), and the vertex condition then
     keeps the signed sums that satisfy it against the subtree's shift sum.
     Tables have O(order^2) entries, so the cost is O(n * order^4) on n
-    vertices.  Shares no code with the engine.
+    vertices.  Of the engine's code it shares only `_holds`, the relation
+    predicate.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")

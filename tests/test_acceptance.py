@@ -56,6 +56,8 @@ def test_criterion_1_golden_closed_forms_and_evaluations():
         value = ENGINE.reduce(canonical_decorate(parse_plain(entry.tree_text)))
         assert value == closed_form_element(entry), entry.label
         assert value.eval_quarter() == evaluation_pipoly(entry), entry.label
+        places = len(entry.approx.partition(".")[2])
+        assert evaluation_pipoly(entry).to_decimal(places) == entry.approx, entry.label
     spot = {
         "T_{2,a}": PiPoly({1: 16, 0: -4}),
         "T_{6,c}": PiPoly({3: Fraction(4096, 3), 2: 1024, 1: Fraction(-512, 9), 0: -128}),
@@ -87,6 +89,8 @@ def test_criterion_3_eight_vertex_example():
     assert value.eval_quarter() == PiPoly(
         {3: Fraction(2**16, 9), 2: Fraction(2**16, 9), 1: Fraction(-(2**13), 35), 0: -896}
     )
+    places = len(entry.approx.partition(".")[2])
+    assert evaluation_pipoly(entry).to_decimal(places) == entry.approx
     series = series_expand(value, 10)
     assert dense(series, 10)[::2] == [1, 7, 58, 542, 5508, 59508]
     print("ACCEPTANCE 3: PASS - 8-vertex example closed form, value, prefix")
